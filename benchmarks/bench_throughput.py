@@ -22,12 +22,12 @@ Measures shots/second through
   ``ReadoutServer``/``RemoteEngineClient`` round trip and a
   ``TcpShardTransport``-backed service (``remote_serving`` section:
   ``remote_tcp_vs_direct`` and friends), bit-identity asserted first,
-* the **asyncio tier** -- the stream again through an
+* the **multiplexed client** -- the stream again through an
   ``AsyncRemoteEngineClient`` sequentially and pipelined over one
-  multiplexed connection, plus a ``pipelined=True`` shard service
-  (``remote_async_*`` measurements), with closed-/open-loop p50/p95/p99
-  load-generator percentiles and a 1000-connection zero-drop soak in the
-  derived section, bit-identity asserted first,
+  connection to a ``ReadoutServer`` (``remote_async_*`` measurements), with
+  closed-/open-loop p50/p95/p99 load-generator percentiles and a
+  1000-connection zero-drop soak in the derived section, bit-identity
+  asserted first,
 * the **resilience layer** -- one qubit shard on two replica servers,
   serving the same stream in steady state and through a seeded kill/recover
   cycle (``resilient_steady`` / ``resilient_killover`` plus p95 round-trip
@@ -774,17 +774,15 @@ def bench_remote_serving(
 def bench_async_serving(
     report: ThroughputReport, n_shots: int, repeats: int, seed: int
 ) -> None:
-    """The asyncio tier: pipelined single-connection serving plus load bench.
+    """The multiplexed client: pipelined single-connection serving plus load bench.
 
     The same 64-request stream as ``remote_serving`` is answered three ways
     -- direct in-process ``engine.serve()`` (the baseline), an
     ``AsyncRemoteEngineClient`` round-tripping one request at a time
     (``remote_async_sequential``: what the transport costs with no
     pipelining), and the same client with the whole stream in flight on one
-    socket (``remote_async_pipelined``, window 64) -- plus a
-    ``pipelined=True`` 2-shard ``ReadoutService`` placement
-    (``remote_async_shards``), all asserted bit-identical to direct
-    dispatch first.
+    socket (``remote_async_pipelined``, window 64) -- all asserted
+    bit-identical to direct dispatch first.
 
     The point of the section is the pipelined-vs-sequential gap: with one
     round trip per request the connection idles while the server computes,
@@ -792,7 +790,7 @@ def bench_async_serving(
     the single-core CI container client and server still contend for the
     one CPU, so ``remote_async_pipelined_vs_direct`` lands below 1.0 like
     every remote number here (reported honestly); it must, however, beat
-    the threaded tier's ``remote_tcp_vs_direct``, which is the regression
+    the blocking client's ``remote_tcp_vs_direct``, which is the regression
     gate the derived ratios exist for.
 
     The derived section also carries the load-generator percentiles
@@ -807,11 +805,10 @@ def bench_async_serving(
 
     from repro.service import (
         AsyncRemoteEngineClient,
-        ReadoutService,
         run_closed_loop,
         run_open_loop,
         run_soak,
-        spawn_async_server,
+        spawn_server,
     )
 
     n_samples = 500
@@ -837,10 +834,9 @@ def bench_async_serving(
     with tempfile.TemporaryDirectory() as tmp:
         bundle_dir = Path(tmp) / "bench-bundle"
         engine.save(bundle_dir)
-        servers = [spawn_async_server(bundle_dir) for _ in range(2)]
+        server = spawn_server(bundle_dir)
         try:
-            hosts = [f"{host}:{port}" for host, port in (s.address for s in servers)]
-            client = AsyncRemoteEngineClient(hosts[0], timeout=300.0)
+            client = AsyncRemoteEngineClient(server.address, timeout=300.0)
 
             def sequential_dispatch() -> np.ndarray:
                 return np.concatenate(
@@ -851,51 +847,34 @@ def bench_async_serving(
                 results = client.serve_many(requests, max_inflight=n_requests)
                 return np.concatenate([result.states for result in results])
 
-            with ReadoutService(
-                shard_hosts=hosts,
-                pipelined=True,
-                max_batch=64,
-                max_wait_ms=10.0,
-                remote_timeout=300.0,
-            ) as async_shards:
-
-                def shard_dispatch() -> np.ndarray:
-                    futures = [async_shards.submit(request) for request in requests]
-                    return np.concatenate(
-                        [future.result().states for future in futures]
+            for label, produced in (
+                ("async sequential client", sequential_dispatch()),
+                ("async pipelined client", pipelined_dispatch()),
+            ):
+                if not np.array_equal(produced, reference):
+                    raise AssertionError(
+                        f"{label} serving is not bit-identical to direct "
+                        "engine.serve() dispatch"
                     )
-
-                for label, produced in (
-                    ("async sequential client", sequential_dispatch()),
-                    ("async pipelined client", pipelined_dispatch()),
-                    ("pipelined shard service", shard_dispatch()),
-                ):
-                    if not np.array_equal(produced, reference):
-                        raise AssertionError(
-                            f"{label} serving is not bit-identical to direct "
-                            "engine.serve() dispatch"
-                        )
-                print(
-                    "  async client (seq + pipelined) == pipelined shards == "
-                    f"direct on {n_requests} requests x {request_shots} shots "
-                    f"x {n_qubits} qubits OK "
-                    f"(groups: {async_shards.shard_groups})"
-                )
-                measured = measure_paired(
-                    {
-                        "remote_async_direct_serve": (direct_dispatch, items),
-                        "remote_async_sequential": (sequential_dispatch, items),
-                        "remote_async_pipelined": (pipelined_dispatch, items),
-                        "remote_async_shards": (shard_dispatch, items),
-                    },
-                    repeats=repeats,
-                )
+            print(
+                "  async client (seq + pipelined) == direct on "
+                f"{n_requests} requests x {request_shots} shots x {n_qubits} "
+                "qubits OK"
+            )
+            measured = measure_paired(
+                {
+                    "remote_async_direct_serve": (direct_dispatch, items),
+                    "remote_async_sequential": (sequential_dispatch, items),
+                    "remote_async_pipelined": (pipelined_dispatch, items),
+                },
+                repeats=repeats,
+            )
             client.close()
 
-            # ---- latency-percentile load bench against the first server.
+            # ---- latency-percentile load bench against the server.
             probe = requests[0]
             closed = run_closed_loop(
-                servers[0].address,
+                server.address,
                 probe,
                 connections=4,
                 inflight=8,
@@ -904,7 +883,7 @@ def bench_async_serving(
             )
             open_rate = max(50.0, 0.5 * closed.throughput_rps)
             opened = run_open_loop(
-                servers[0].address,
+                server.address,
                 probe,
                 rate_rps=open_rate,
                 n_requests=300,
@@ -912,15 +891,14 @@ def bench_async_serving(
                 timeout=300.0,
             )
             soak = run_soak(
-                servers[0].address,
+                server.address,
                 probe,
                 connections=1000,
                 timeout=300.0,
                 connect_timeout=120.0,
             )
         finally:
-            for handle in servers:
-                handle.close()
+            server.close()
     for loop_report in (closed, opened, soak):
         if loop_report.drops:
             raise AssertionError(
@@ -947,11 +925,6 @@ def bench_async_serving(
         "remote_async_pipelined_vs_sequential",
         "remote_async_pipelined",
         "remote_async_sequential",
-    )
-    report.record_speedup(
-        "remote_async_shards_vs_direct",
-        "remote_async_shards",
-        "remote_async_direct_serve",
     )
     for prefix, loop_report in (
         ("remote_async_closed", closed),
@@ -980,7 +953,7 @@ def bench_resilient_serving(
     """What does self-healing cost?  Steady state vs. a seeded kill cycle.
 
     One qubit shard is placed on **two** replica ``ReadoutServer`` processes
-    behind a :class:`ReplicatedTcpShardTransport`.  The same request stream
+    behind a :class:`TcpShardTransport`.  The same request stream
     is served twice, per-request round-trip latencies recorded both times:
 
     * ``resilient_steady`` -- both replicas healthy (repeatable, so it gets
@@ -1371,7 +1344,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_service(report, n_shots, repeats, args.seed)
     print("Remote serving (loopback TCP vs direct serve vs local shards):")
     bench_remote_serving(report, n_shots, repeats, args.seed)
-    print("Async serving (pipelined asyncio tier + latency-percentile load bench):")
+    print("Multiplexed client (pipelined requests + latency-percentile load bench):")
     bench_async_serving(report, n_shots, repeats, args.seed)
     print("Resilient serving (replicated TCP shard, seeded kill/recover cycle):")
     bench_resilient_serving(report, n_shots, repeats, args.seed)

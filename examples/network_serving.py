@@ -30,18 +30,14 @@ bundle out of the staging area, canary it against the baseline, promote
 it, and hot-swap back under queued load -- zero dropped requests and
 bit-identity on both sides of the swap barrier.
 
-The run closes with the asyncio tier: an ``AsyncRemoteEngineClient``
-pipelines the whole request stream over one multiplexed connection to an
-``AsyncReadoutServer`` (bit-identical again), a ``pipelined=True`` shard
-placement does the same under ``ReadoutService``, and the load generator
-reports closed-loop p50/p95/p99 latencies plus a 500-connection zero-drop
-soak.
+The run closes with the multiplexed client: an ``AsyncRemoteEngineClient``
+pipelines the whole request stream over one connection to the same kind of
+``ReadoutServer`` (bit-identical again), and the load generator reports
+closed-loop p50/p95/p99 latencies plus a 500-connection zero-drop soak.
 
-CI runs this as its loopback network-serving smoke (exit code 5 when basic
-network serving breaks, 6 when only the failover demo breaks, 7 when only
-the metrics tail breaks, 8 when only the model-lifecycle demo breaks, 9
-when only the asyncio tier breaks -- all downgraded to warnings like the
-other non-blocking gates).  Run it with::
+CI runs this as its loopback network-serving smoke: any failure exits with
+code 5, which CI downgrades to a warning like the other non-blocking
+gates.  Run it with::
 
     PYTHONPATH=src python examples/network_serving.py
 """
@@ -67,22 +63,6 @@ from repro.service import (
 #: Distinct exit code for the CI smoke gate ("network serving broke"),
 #: mirroring the examples gate (4) and the bench regression gate (3).
 SMOKE_FAILURE_EXIT_CODE = 5
-#: Distinct exit code for the failover demo ("self-healing broke"): basic
-#: network serving may still be fine when only the resilience layer fails.
-FAILOVER_FAILURE_EXIT_CODE = 6
-#: Distinct exit code for the telemetry tail ("observability broke"):
-#: serving and failover may both be fine when only the METRICS surface fails.
-METRICS_FAILURE_EXIT_CODE = 7
-#: Distinct exit code for the model-lifecycle demo ("hot swap broke"):
-#: steady-state serving may be fine when only registry/swap/canary fails.
-LIFECYCLE_FAILURE_EXIT_CODE = 8
-#: Distinct exit code for the asyncio-tier demo ("pipelined serving broke"):
-#: the threaded network tier may be fine when only the async tier fails.
-ASYNC_FAILURE_EXIT_CODE = 9
-
-
-class MetricsSmokeFailure(Exception):
-    """The metrics tail of the failover demo failed (CI exit code 7)."""
 
 
 def synthetic_parameters(seed: int, n_samples: int = 120) -> QuantizedStudentParameters:
@@ -232,26 +212,23 @@ def run_failover() -> None:
                   f"{stats.failovers} failover(s). Self-healing OK.")
 
             # --- Telemetry tail: observability of the run just made --------
-            try:
-                from repro.service.telemetry import format_metrics
+            from repro.service.telemetry import format_metrics
 
-                print()
-                print(format_metrics(service_metrics, title="service telemetry"))
-                survivor = "%s:%d" % replicas[0][1].address
-                with RemoteEngineClient(survivor, timeout=30.0) as client:
-                    remote_metrics = client.metrics()
-                print()
-                print(format_metrics(
-                    remote_metrics, title=f"surviving replica {survivor}"
-                ))
-                assert remote_metrics["requests_served"] >= 1, \
-                    "survivor served nothing"
-                assert service_metrics["stages"]["wire"]["count"] >= 1, \
-                    "no wire latency was recorded"
-                print("\nRemote metrics snapshot fetched over METRICS frames. "
-                      "Observability OK.")
-            except Exception as exc:  # noqa: BLE001 - mapped to exit code 7
-                raise MetricsSmokeFailure(str(exc)) from exc
+            print()
+            print(format_metrics(service_metrics, title="service telemetry"))
+            survivor = "%s:%d" % replicas[0][1].address
+            with RemoteEngineClient(survivor, timeout=30.0) as client:
+                remote_metrics = client.metrics()
+            print()
+            print(format_metrics(
+                remote_metrics, title=f"surviving replica {survivor}"
+            ))
+            assert remote_metrics["requests_served"] >= 1, \
+                "survivor served nothing"
+            assert service_metrics["stages"]["wire"]["count"] >= 1, \
+                "no wire latency was recorded"
+            print("\nRemote metrics snapshot fetched over METRICS frames. "
+                  "Observability OK.")
         finally:
             for handle in flat:
                 handle.close()
@@ -335,13 +312,8 @@ def run_lifecycle() -> None:
 
 
 def run_async() -> None:
-    """The asyncio tier: pipelined multiplexed serving plus a mini load run."""
-    from repro.service import (
-        AsyncRemoteEngineClient,
-        run_closed_loop,
-        run_soak,
-        spawn_async_server,
-    )
+    """The multiplexed client: pipelined serving plus a mini load run."""
+    from repro.service import AsyncRemoteEngineClient, run_closed_loop, run_soak
 
     n_qubits, n_shots = 5, 96
     engine = ReadoutEngine(
@@ -361,14 +333,14 @@ def run_async() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         bundle = Path(tmp) / "readout-v1"
         engine.save(bundle)
-        print("\nStarting two AsyncReadoutServer processes on 127.0.0.1 ...")
-        servers = [spawn_async_server(bundle) for _ in range(2)]
+        print("\nStarting a ReadoutServer process on 127.0.0.1 ...")
+        server = spawn_server(bundle)
         try:
-            hosts = [f"{host}:{port}" for host, port in (s.address for s in servers)]
-            print(f"Async servers up at {hosts[0]} and {hosts[1]}")
+            host = "%s:%d" % server.address
+            print(f"Server up at {host}")
 
             # --- One multiplexed connection, the whole stream in flight ----
-            with AsyncRemoteEngineClient(hosts[0], timeout=60.0) as client:
+            with AsyncRemoteEngineClient(host, timeout=60.0) as client:
                 piped = client.serve_many(requests, max_inflight=len(requests))
                 for result, reference in zip(piped, direct):
                     assert np.array_equal(result.states, reference.states), \
@@ -378,24 +350,9 @@ def run_async() -> None:
                 print(f"AsyncRemoteEngineClient pipelined {len(requests)} tagged "
                       "requests over one socket: bit-identical to direct serve()")
 
-            # --- The same pipelining under a shard placement ---------------
-            with ReadoutService(
-                shard_hosts=hosts, pipelined=True, max_batch=16,
-                max_wait_ms=5.0, remote_timeout=60.0,
-            ) as service:
-                futures = [service.submit(request) for request in requests]
-                results = [future.result(timeout=120) for future in futures]
-                stats = service.stats
-            for result, reference in zip(results, direct):
-                assert np.array_equal(result.states, reference.states), \
-                    "async-sharded states diverged"
-            print(f"Pipelined shard service: bit-identical across "
-                  f"{stats.requests_served} requests "
-                  f"(transport={stats.transport!r})")
-
             # --- A miniature latency-percentile load run -------------------
             closed = run_closed_loop(
-                servers[0].address, requests[0],
+                server.address, requests[0],
                 connections=4, inflight=8, requests_per_connection=25,
                 timeout=60.0,
             )
@@ -406,17 +363,16 @@ def run_async() -> None:
                   f"{latency['p50_ms']:.1f} ms, p95 {latency['p95_ms']:.1f} ms, "
                   f"p99 {latency['p99_ms']:.1f} ms")
             soak = run_soak(
-                servers[0].address, requests[0],
+                server.address, requests[0],
                 connections=500, timeout=120.0, connect_timeout=60.0,
             )
             assert soak.drops == 0, "connection soak dropped requests"
             assert soak.completed == soak.requests, "soak left requests unanswered"
             print(f"Soak: {soak.connections} concurrent connections, "
                   f"{soak.completed} requests, {soak.drops} drops. "
-                  "Async serving OK.")
+                  "Multiplexed serving OK.")
         finally:
-            for handle in servers:
-                handle.close()
+            server.close()
     engine.close()
 
 
@@ -425,27 +381,12 @@ def main() -> int:
 
     try:
         run()
+        run_failover()
+        run_lifecycle()
+        run_async()
     except Exception:  # noqa: BLE001 - the smoke gate wants one exit code
         traceback.print_exc()
         return SMOKE_FAILURE_EXIT_CODE
-    try:
-        run_failover()
-    except MetricsSmokeFailure:  # distinct code: only observability broke
-        traceback.print_exc()
-        return METRICS_FAILURE_EXIT_CODE
-    except Exception:  # noqa: BLE001 - distinct code: only resilience broke
-        traceback.print_exc()
-        return FAILOVER_FAILURE_EXIT_CODE
-    try:
-        run_lifecycle()
-    except Exception:  # noqa: BLE001 - distinct code: only lifecycle broke
-        traceback.print_exc()
-        return LIFECYCLE_FAILURE_EXIT_CODE
-    try:
-        run_async()
-    except Exception:  # noqa: BLE001 - distinct code: only the async tier broke
-        traceback.print_exc()
-        return ASYNC_FAILURE_EXIT_CODE
     return 0
 
 

@@ -83,9 +83,6 @@ GUARDED_BY: dict[str, dict[str, dict[str, str]]] = {
             "_info": "_swap_lock",
             "_swaps": "_swap_lock",
         },
-        "ReadoutServer": {
-            "_connections": "_conn_lock",
-        },
     },
     "src/repro/service/aio.py": {
         "PipelineDemux": {

@@ -7,9 +7,9 @@ failure mode this checker closes is a frame constant that ships while one
 side still treats it as "unknown frame":
 
 - every *request* kind (``REQUEST`` itself plus any ``*_REQUEST``) must be
-  dispatched in the shared serving core's request handler (a
-  ``wire.<KIND>`` reference inside :data:`SERVER_HANDLER` -- both the
-  threaded and the asyncio server answer through it);
+  dispatched in the serving core's request handler (a ``wire.<KIND>``
+  reference inside :data:`SERVER_HANDLER` -- the server answers through
+  it);
 - every *reply* kind must be decodable by **each** client tier --
   ``RemoteEngineClient`` and the pipelining ``AsyncRemoteEngineClient``
   (:data:`EXTRA_CLIENTS`): some ``wire.decode_*`` function the client
@@ -45,15 +45,15 @@ WIRE_MODULE = "src/repro/engine/wire.py"
 NET_MODULE = "src/repro/service/net.py"
 
 #: The server-side dispatch point every request kind must appear in: the
-#: :class:`~repro.service.net.ServingCore` handler both the threaded and
-#: the asyncio server answer through.
+#: :class:`~repro.service.net.ServingCore` handler the server answers
+#: through.
 SERVER_HANDLER = ("ServingCore", "reply_chunks_for")
 
 #: The client whose called decoders define "decodable".
 CLIENT_CLASS = "RemoteEngineClient"
 
 #: Further ``(module, class)`` client tiers that must each cover every
-#: reply kind (a frame only the threaded client can decode is still
+#: reply kind (a frame only the blocking client can decode is still
 #: half-handled).
 EXTRA_CLIENTS: tuple[tuple[str, str], ...] = (
     ("src/repro/service/aio.py", "AsyncRemoteEngineClient"),
@@ -212,7 +212,7 @@ class WireChecker:
                 )
 
         # ---- client side: every reply kind covered by a called decoder,
-        # for every client tier (threaded and pipelined async alike).
+        # for every client tier (blocking and multiplexed alike).
         decoder_kinds: dict[str, set[str]] = {}
         for qualname, node in iter_functions(wire.tree):
             if qualname.startswith("decode_") or qualname == "frame_kind":

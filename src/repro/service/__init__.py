@@ -6,8 +6,10 @@ many small concurrent :class:`~repro.engine.request.ReadoutRequest`\\ s,
 coalesces compatible ones into micro-batches on a bounded queue, and
 dispatches to one of three placements -- in-process (bit-identical to
 ``engine.serve()``), qubit shards on local worker processes, or qubit
-shards on remote :class:`~repro.service.net.ReadoutServer`\\ s over TCP --
-all speaking the one wire codec (:mod:`repro.engine.wire`)::
+shards on remote :class:`~repro.service.net.ReadoutServer`\\ s over one
+:class:`~repro.service.net.TcpShardTransport` per shard (a single address
+or a list of replicas) -- all speaking the one wire codec
+(:mod:`repro.engine.wire`)::
 
     from repro.engine import ReadoutRequest
     from repro.service import ReadoutService
@@ -29,7 +31,9 @@ all speaking the one wire codec (:mod:`repro.engine.wire`)::
 See :mod:`repro.service.service` for the batching/dispatch mechanics,
 :mod:`repro.service.transport` for the shard-transport protocol and the
 local worker-process implementation, :mod:`repro.service.net` for the TCP
-server/client tier (including replica failover), :mod:`repro.service.retry`
+tier (the one asyncio server, the blocking client, and the shard transport
+with replica failover), :mod:`repro.service.aio` for the multiplexed client
+that pipelines tagged requests over one socket, :mod:`repro.service.retry`
 / :mod:`repro.service.health` for the retry policy and health-checked host
 pool, :mod:`repro.service.faults` for the fault-injection harness that
 keeps the self-healing paths honest, :mod:`repro.service.lifecycle` for
@@ -82,19 +86,13 @@ from repro.service.net import (
     AllReplicasDownError,
     ReadoutServer,
     RemoteEngineClient,
-    ReplicatedTcpShardTransport,
     TcpShardTransport,
     TransportConnectError,
     TransportError,
     TransportTimeoutError,
     spawn_server,
 )
-from repro.service.aio import (
-    AsyncReadoutServer,
-    AsyncRemoteEngineClient,
-    AsyncTcpShardTransport,
-    spawn_async_server,
-)
+from repro.service.aio import AsyncRemoteEngineClient
 from repro.service.loadgen import (
     LoadgenReport,
     run_closed_loop,
@@ -103,7 +101,6 @@ from repro.service.loadgen import (
 )
 from repro.service.faults import (
     ChaosProxy,
-    ChaosServer,
     ChaosTransport,
     FaultSchedule,
 )
@@ -134,23 +131,18 @@ __all__ = [
     "ReadoutServer",
     "RemoteEngineClient",
     "TcpShardTransport",
-    "ReplicatedTcpShardTransport",
     "AllReplicasDownError",
     "TransportError",
     "TransportConnectError",
     "TransportTimeoutError",
     "spawn_server",
     "summarize_latencies",
-    "AsyncReadoutServer",
     "AsyncRemoteEngineClient",
-    "AsyncTcpShardTransport",
-    "spawn_async_server",
     "LoadgenReport",
     "run_closed_loop",
     "run_open_loop",
     "run_soak",
     "ChaosProxy",
-    "ChaosServer",
     "ChaosTransport",
     "FaultSchedule",
 ]

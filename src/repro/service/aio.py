@@ -1,40 +1,27 @@
-"""Asyncio-native network tier: multiplexed connections, pipelined requests.
+"""The multiplexed client of the readout server: pipelined requests.
 
-The threaded tier (:mod:`repro.service.net`) spends one OS thread per
-connection and one full round trip per request; this module rebuilds the
-I/O layer on asyncio protocols over the **same wire codec and the same
-:class:`~repro.service.net.ServingCore`**, so the answers are bit-identical
-while the transport stops being the bottleneck:
+The blocking :class:`~repro.service.net.RemoteEngineClient` spends one full
+round trip per request.  This module speaks to the same
+:class:`~repro.service.net.ReadoutServer` over asyncio protocols and the
+**same wire codec**, so the answers are bit-identical while many requests
+share one socket:
 
-* :class:`AsyncReadoutServer` -- one event loop handles a thousand-plus
-  concurrent connections; engine work is dispatched to a thread-pool
-  executor so the loop never blocks on compute.  Reads are zero-copy
-  (:class:`FrameAssembler` hands ``recv_into`` the exact missing bytes of a
-  single per-frame allocation); on the write side small frames coalesce
-  into one ``write()`` while large result arrays still reach the socket as
-  the memoryviews the encoder produced -- no full-frame join for bulk
-  payloads.
-* **Pipelining** -- a client may tag each REQUEST with an additive ``seq``
-  in the frame envelope and keep many requests in flight on one
-  connection; replies carry the echo and may interleave, the client
-  reorders by tag (:class:`PipelineDemux`).  Untagged peers (the threaded
-  :class:`~repro.service.net.RemoteEngineClient`) still get strict FIFO
-  replies, so the tiers interoperate both ways with no codec version bump.
+* **Pipelining** -- every REQUEST carries an additive ``seq`` tag in the
+  frame envelope and many requests stay in flight on one connection; the
+  server serves tagged requests concurrently, replies carry the echo and
+  may interleave, and the client reorders by tag (:class:`PipelineDemux`).
+  Untagged peers still get strict FIFO replies, so both clients share one
+  server with no codec version bump.
 * :class:`AsyncRemoteEngineClient` -- the multiplexing caller:
   thread-safe ``serve()`` round trips and a pipelined ``serve_many()``
-  window over one socket.
-* :class:`AsyncTcpShardTransport` -- the same pipelining for
-  ``ReadoutService`` remote shard placements (``pipelined=True``).
-
-Run a server from the command line::
-
-    PYTHONPATH=src python -m repro.service.aio artifacts/readout-v1 \\
-        --host 0.0.0.0 --port 7777
+  window over one socket.  Receives are zero-copy
+  (:class:`~repro.service.net.FrameAssembler`).
+* ``_AsyncConnection`` -- one multiplexed connection, shared by the client
+  facade and the coroutine workers of :mod:`repro.service.loadgen`.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import collections
 import concurrent.futures
@@ -42,110 +29,23 @@ import itertools
 import socket
 import threading
 import uuid
-from pathlib import Path
 
 from repro.engine import wire
 from repro.engine.request import ReadoutRequest, ReadoutResult
 from repro.service.net import (
-    ServerProcessHandle,
-    ServingCore,
+    FrameAssembler,
     TransportConnectError,
     TransportError,
     TransportTimeoutError,
     _parse_address,
-    spawn_server,
+    _write_frame_chunks,
 )
 from repro.service.telemetry import new_trace_id
 
 __all__ = [
-    "FrameAssembler",
     "PipelineDemux",
-    "AsyncReadoutServer",
     "AsyncRemoteEngineClient",
-    "AsyncTcpShardTransport",
-    "spawn_async_server",
-    "main",
 ]
-
-
-# --------------------------------------------------------------------------
-# Zero-copy frame reassembly
-# --------------------------------------------------------------------------
-
-
-class FrameAssembler:
-    """Incremental zero-copy reassembly of wire frames for ``BufferedProtocol``.
-
-    :meth:`get_buffer` hands the event loop's ``recv_into`` a memoryview of
-    exactly the bytes still missing, so received data lands directly in its
-    final resting place: first a :data:`~repro.engine.wire.PREFIX_SIZE`
-    scratch buffer, then -- once :func:`~repro.engine.wire.frame_total_size`
-    has validated magic, version, and the allocation bound -- one exact-size
-    buffer per frame.  The only copy on the path is the 18-byte prefix
-    moving into the frame buffer; header and payload bytes are written once
-    by the kernel and never moved again, and the completed ``bytearray``
-    owns its memory, so downstream zero-copy request decoding (the NumPy
-    views :func:`~repro.engine.wire.decode_request` creates) stays valid
-    without another copy.
-    """
-
-    def __init__(self, max_bytes: int = wire.MAX_FRAME_BYTES) -> None:
-        self._max_bytes = int(max_bytes)
-        self._reset()
-
-    def _reset(self) -> None:
-        self._buffer = bytearray(wire.PREFIX_SIZE)
-        self._view = memoryview(self._buffer)
-        self._filled = 0
-        self._total: int | None = None
-
-    def get_buffer(self, sizehint: int) -> memoryview:
-        """The writable view of the bytes still missing (never empty)."""
-        return self._view[self._filled :]
-
-    def buffer_updated(self, nbytes: int) -> bytearray | None:
-        """Advance past ``nbytes`` freshly received; the completed frame, if any.
-
-        Raises :class:`~repro.engine.wire.WireFormatError` for garbage
-        prefixes (bad magic, foreign version, oversized length): a stream
-        that cannot be resynced, so the caller drops the connection.
-        """
-        self._filled += nbytes
-        if self._total is None:
-            if self._filled < wire.PREFIX_SIZE:
-                return None
-            self._total = wire.frame_total_size(self._view, self._max_bytes)
-            if self._total > self._filled:
-                frame = bytearray(self._total)
-                frame[: self._filled] = self._buffer
-                self._buffer = frame
-                self._view = memoryview(frame)
-                return None
-        if self._filled < self._total:
-            return None
-        frame = self._buffer
-        self._reset()
-        return frame
-
-
-#: Frames smaller than this are joined into a single ``transport.write()``
-#: -- for small frames one extra copy is cheaper than a syscall per chunk.
-#: Larger frames keep the scatter path: their payload arrays ride as the
-#: encoder's memoryviews and are never joined.
-_COALESCE_BYTES = 64 * 1024
-
-
-def _write_frame_chunks(transport, chunks) -> None:
-    """Write one frame's chunks: coalesced when small, scattered when bulk.
-
-    Either way every chunk goes out inside one loop callback, so frames
-    written concurrently by different tasks never interleave mid-frame.
-    """
-    if len(chunks) > 1 and sum(map(len, chunks)) < _COALESCE_BYTES:
-        transport.write(b"".join(chunks))
-    else:
-        for chunk in chunks:
-            transport.write(chunk)
 
 
 # --------------------------------------------------------------------------
@@ -253,336 +153,6 @@ class PipelineDemux:
 
 
 # --------------------------------------------------------------------------
-# Server
-# --------------------------------------------------------------------------
-
-
-class _AsyncServerProtocol(asyncio.BufferedProtocol):
-    """One client connection on the server's event loop.
-
-    Tagged requests (a ``seq`` in the envelope) are served concurrently on
-    the executor and their replies written in completion order -- the peer
-    reorders by tag.  Untagged requests are the threaded
-    :class:`~repro.service.net.RemoteEngineClient` speaking; their replies
-    are chained strictly FIFO so that client works against this server
-    unchanged.
-    """
-
-    def __init__(self, server: "AsyncReadoutServer") -> None:
-        self._server = server
-        self._assembler = FrameAssembler()
-        self._transport = None
-        self._inflight: set = set()
-        self._tasks: set[asyncio.Task] = set()
-        self._fifo_tail: asyncio.Future | None = None
-
-    # ------------------------------------------------------ protocol hooks
-    def connection_made(self, transport) -> None:
-        self._transport = transport
-        sock = transport.get_extra_info("socket")
-        if sock is not None:
-            try:
-                # asyncio already sets TCP_NODELAY on TCP transports; add
-                # keepalive so connections whose peer vanished without a FIN
-                # are reaped instead of leaking forever.
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
-            except OSError:  # pragma: no cover - peer already gone
-                pass
-        self._server._register_connection(self)
-
-    def connection_lost(self, exc) -> None:
-        for task in list(self._tasks):
-            task.cancel()
-        self._server._unregister_connection(self)
-
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self._assembler.get_buffer(sizehint)
-
-    def buffer_updated(self, nbytes: int) -> None:
-        try:
-            frame = self._assembler.buffer_updated(nbytes)
-        except wire.WireFormatError:
-            # Unframeable garbage we cannot resync from: drop the connection
-            # (the client sees a TransportError and may reconnect).
-            self._transport.close()
-            return
-        if frame is not None:
-            self._dispatch(frame)
-
-    # ------------------------------------------------------------ dispatch
-    def _dispatch(self, frame) -> None:
-        try:
-            envelope = wire.frame_wire_meta(frame)
-        except wire.WireFormatError:
-            self._transport.close()
-            return
-        seq = envelope.get("seq")
-        if seq is not None:
-            if seq in self._inflight:
-                # A duplicate in-flight tag is a protocol violation answered
-                # loudly on exactly that tag; sibling requests are untouched.
-                self._write_chunks(
-                    [
-                        wire.encode_error(
-                            wire.WireFormatError(
-                                f"Pipeline tag seq={seq!r} is already in "
-                                "flight on this connection"
-                            ),
-                            wire_meta={"seq": seq},
-                        )
-                    ]
-                )
-                return
-            self._inflight.add(seq)
-        task = self._server._loop.create_task(self._serve(frame, seq))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _serve(self, frame, seq) -> None:
-        server = self._server
-        prev = done = None
-        if seq is None:
-            # Untagged peers expect strict FIFO replies: chain the writes so
-            # executor concurrency never reorders their stream.
-            prev, done = self._fifo_tail, server._loop.create_future()
-            self._fifo_tail = done
-        try:
-            try:
-                chunks = await server._loop.run_in_executor(
-                    server._executor, server._core.reply_chunks_for, frame
-                )
-            except RuntimeError as exc:  # executor shut down mid-drain
-                chunks = [
-                    wire.encode_error(
-                        exc, wire_meta=None if seq is None else {"seq": seq}
-                    )
-                ]
-            if prev is not None:
-                await prev
-            if not self._transport.is_closing():
-                self._write_chunks(chunks)
-        finally:
-            if seq is not None:
-                self._inflight.discard(seq)
-            if done is not None and not done.done():
-                done.set_result(None)
-
-    def _write_chunks(self, chunks) -> None:
-        _write_frame_chunks(self._transport, chunks)
-
-    # ------------------------------------------------------------- draining
-    def pending_tasks(self) -> list:
-        return [task for task in self._tasks if not task.done()]
-
-    def close_transport(self) -> None:
-        if self._transport is not None:
-            self._transport.close()
-
-
-class AsyncReadoutServer:
-    """Serve an artifact bundle on one asyncio event loop.
-
-    The asyncio twin of :class:`~repro.service.net.ReadoutServer`: same
-    bundle loading, hot swaps, idempotent reply cache, and telemetry (the
-    shared :class:`~repro.service.net.ServingCore`), answers bit-identical
-    -- but one event loop multiplexes every connection, engine work runs on
-    a thread-pool executor so the loop never blocks, and pipelined requests
-    on one connection are served concurrently with their replies routed by
-    the ``seq`` envelope echo.
-
-    Parameters mirror :class:`~repro.service.net.ReadoutServer`;
-    ``executor_workers`` caps the serve executor, and ``backlog`` defaults
-    much higher because a thousand clients dialing at once is this tier's
-    normal weather.
-    """
-
-    def __init__(
-        self,
-        bundle_dir: str | Path,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        parallel: bool | None = None,
-        max_workers: int | None = None,
-        backlog: int = 512,
-        drain_timeout: float = 10.0,
-        reply_cache_size: int = 256,
-        telemetry: bool = True,
-        executor_workers: int = 4,
-    ) -> None:
-        self._core = ServingCore(
-            bundle_dir,
-            parallel=parallel,
-            max_workers=max_workers,
-            reply_cache_size=reply_cache_size,
-            telemetry=telemetry,
-            transport_label="aio",
-            metrics_source="async-readout-server",
-        )
-        self._core.extra_metrics = self._connection_metrics
-        self._requested = (host, int(port))
-        self._backlog = int(backlog)
-        self._drain_timeout = float(drain_timeout)
-        self._executor_workers = int(executor_workers)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._aio_server = None
-        self._executor: concurrent.futures.ThreadPoolExecutor | None = None
-        # Touched only on the loop thread; read cross-thread only as gauges.
-        self._connections: set[_AsyncServerProtocol] = set()
-        self._accepted = 0
-        self._address: tuple[str, int] | None = None
-        self._started = False
-        self._closing = False
-        self._closed = threading.Event()
-
-    # ---------------------------------------------------------------- state
-    @property
-    def bundle_dir(self) -> Path:
-        """The served bundle's directory (tracks hot swaps)."""
-        return self._core.bundle_dir
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` (only meaningful after :meth:`start`)."""
-        if self._address is None:
-            raise RuntimeError("AsyncReadoutServer is not started")
-        return self._address
-
-    @property
-    def requests_served(self) -> int:
-        """REQUEST frames answered since start (result or error replies)."""
-        return self._core.requests_served
-
-    @property
-    def deduplicated_replies(self) -> int:
-        """Retried requests answered from the idempotency cache."""
-        return self._core.deduplicated_replies
-
-    @property
-    def connections_open(self) -> int:
-        """Currently connected clients (a racy gauge, exact on the loop)."""
-        return len(self._connections)
-
-    def metrics(self) -> dict:
-        """The live telemetry snapshot the METRICS wire frame serves."""
-        return self._core.metrics()
-
-    def _connection_metrics(self) -> dict:
-        return {
-            "connections_open": len(self._connections),
-            "connections_accepted": self._accepted,
-        }
-
-    def _register_connection(self, conn: _AsyncServerProtocol) -> None:
-        self._connections.add(conn)
-        self._accepted += 1
-
-    def _unregister_connection(self, conn: _AsyncServerProtocol) -> None:
-        self._connections.discard(conn)
-
-    # ------------------------------------------------------------ lifecycle
-    def start(self) -> "AsyncReadoutServer":
-        """Load the bundle, spin up the loop thread, bind.  Idempotent."""
-        if self._started:
-            return self
-        if self._closing:
-            raise RuntimeError("AsyncReadoutServer is closed")
-        self._core.load()
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self._executor_workers,
-            thread_name_prefix="aio-readout-serve",
-        )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="aio-readout-loop", daemon=True
-        )
-        self._thread.start()
-        try:
-            self._address = asyncio.run_coroutine_threadsafe(
-                self._bind(), self._loop
-            ).result(30.0)
-        except Exception:
-            self._stop_loop()
-            self._executor.shutdown(wait=False)
-            self._core.close()
-            raise
-        self._started = True
-        return self
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    async def _bind(self) -> tuple[str, int]:
-        host, port = self._requested
-        self._aio_server = await self._loop.create_server(
-            lambda: _AsyncServerProtocol(self), host, port, backlog=self._backlog
-        )
-        return self._aio_server.sockets[0].getsockname()[:2]
-
-    def serve_forever(self) -> None:
-        """Start (if needed) and block until :meth:`close` is called."""
-        self.start()
-        try:
-            self._closed.wait()
-        except KeyboardInterrupt:  # pragma: no cover - interactive use
-            self.close()
-
-    def close(self) -> None:
-        """Graceful drain: stop accepting, let in-flight requests finish, reap.
-
-        Idempotent; a concurrent caller blocks until the first close
-        finishes.
-        """
-        if self._closing:
-            self._closed.wait()
-            return
-        self._closing = True
-        if self._started:
-            try:
-                asyncio.run_coroutine_threadsafe(
-                    self._shutdown(), self._loop
-                ).result(self._drain_timeout + 10.0)
-            except (concurrent.futures.TimeoutError, RuntimeError):
-                pass  # force the teardown below
-            self._stop_loop()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-        self._core.close()
-        self._closed.set()
-
-    async def _shutdown(self) -> None:
-        if self._aio_server is not None:
-            self._aio_server.close()
-            await self._aio_server.wait_closed()
-        deadline = self._loop.time() + self._drain_timeout
-        tasks = [
-            task for conn in self._connections for task in conn.pending_tasks()
-        ]
-        if tasks:
-            await asyncio.wait(
-                tasks, timeout=max(0.0, deadline - self._loop.time())
-            )
-        for conn in list(self._connections):
-            conn.close_transport()
-
-    def _stop_loop(self) -> None:
-        if self._loop is None:
-            return
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(10.0)
-        if not self._thread.is_alive():
-            self._loop.close()
-
-    def __enter__(self) -> "AsyncReadoutServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------------
 # Client
 # --------------------------------------------------------------------------
 
@@ -621,8 +191,8 @@ class _AsyncClientProtocol(asyncio.BufferedProtocol):
 
 class _AsyncConnection:
     """One multiplexed connection: demux + transport, shared by the sync
-    facade (:class:`AsyncRemoteEngineClient`), the shard transport, and the
-    load generator's coroutine workers."""
+    facade (:class:`AsyncRemoteEngineClient`) and the load generator's
+    coroutine workers."""
 
     def __init__(self, host: str, port: int, connect_timeout: float) -> None:
         self.host, self.port = host, int(port)
@@ -739,13 +309,12 @@ class AsyncRemoteEngineClient:
     concurrent callers share the connection instead of queueing behind a
     lock -- and :meth:`serve_many` keeps a bounded window of requests in
     flight, which is where pipelining buys back the per-round-trip latency
-    the threaded client pays.
+    the blocking client pays.
 
     In-flight requests fail with a typed :class:`TransportError` when the
     connection dies (there is no transparent resend on the multiplexed
-    path); the next call redials.  The peer can be an
-    :class:`AsyncReadoutServer` or a threaded
-    :class:`~repro.service.net.ReadoutServer` -- both echo the tag.
+    path); the next call redials.  The peer is a
+    :class:`~repro.service.net.ReadoutServer`, which echoes the tag.
     """
 
     def __init__(
@@ -980,200 +549,3 @@ class AsyncRemoteEngineClient:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AsyncRemoteEngineClient({self.address!r})"
-
-
-# --------------------------------------------------------------------------
-# The pipelined TCP shard transport
-# --------------------------------------------------------------------------
-
-
-class AsyncTcpShardTransport:
-    """A pipelining :class:`~repro.service.transport.ShardTransport` over one
-    multiplexed connection.
-
-    Where :class:`~repro.service.net.TcpShardTransport` is strictly FIFO --
-    one unanswered frame at a time per shard -- this transport tags every
-    sub-request and keeps them all in flight at once, so a micro-batch
-    split across shards (or queued behind another) pipelines on the wire
-    instead of serializing round trips.  ``collect`` may be called in any
-    order; answers land by tag.
-
-    The placed server can be an :class:`AsyncReadoutServer` or a threaded
-    :class:`~repro.service.net.ReadoutServer` (both echo the tag); answers
-    are bit-identical either way.
-    """
-
-    name = "aio"
-
-    def __init__(
-        self,
-        shard_index: int,
-        qubits: list[int],
-        address,
-        *,
-        timeout: float = 30.0,
-        connect_timeout: float = 5.0,
-    ) -> None:
-        self.shard_index = shard_index
-        self.qubits = list(qubits)
-        self.qubit_set = frozenset(self.qubits)
-        self._client = AsyncRemoteEngineClient(
-            address, timeout=timeout, connect_timeout=connect_timeout
-        )
-        self._inflight: dict[int, tuple] = {}
-        self._closed = False
-        # Fail at placement time, not first dispatch: a typo'd host list
-        # should abort service start-up.
-        self._client._ensure()
-
-    @property
-    def address(self) -> str:
-        """The placed server's ``host:port``."""
-        return self._client.address
-
-    def submit(
-        self, job_id: int, request: ReadoutRequest, wire_meta: dict | None = None
-    ) -> None:
-        """Send one sub-request; it pipelines behind whatever is in flight."""
-        if self._closed:
-            raise RuntimeError(
-                f"Shard {self.shard_index} transport is closed; submit() after "
-                "close() is a protocol violation"
-            )
-        if job_id in self._inflight:
-            raise RuntimeError(
-                f"Shard {self.shard_index} already has job {job_id} in "
-                "flight; the shard protocol is out of sync"
-            )
-        conn, seq, future = self._client._begin()
-        chunks = wire.encode_request_chunks(
-            request,
-            wire_meta={
-                "seq": seq,
-                "request_id": uuid.uuid4().hex,
-                **(wire_meta or {}),
-            },
-        )
-        self._client._send(conn, seq, chunks)
-        self._inflight[job_id] = (conn, seq, future)
-
-    def collect(self, job_id: int) -> ReadoutResult:
-        """Block for the tagged response to ``job_id`` (any order) and decode it."""
-        entry = self._inflight.pop(job_id, None)
-        if entry is None:
-            raise RuntimeError(
-                f"Shard {self.shard_index} has no job {job_id} in flight; "
-                "the shard protocol is out of sync"
-            )
-        conn, seq, future = entry
-        try:
-            frame = self._client._await(conn, seq, future)
-        except TransportError as exc:
-            raise type(exc)(
-                f"Shard {self.shard_index} server at {self.address} died "
-                f"before answering job {job_id}: {exc}"
-            ) from exc
-        return wire.decode_reply(frame)
-
-    def swap(self, bundle_dir, expected_bundle_id: str | None = None) -> dict:
-        """Hot-swap the placed server's bundle; blocks for the SWAP ack."""
-        if self._closed:
-            raise RuntimeError(
-                f"Shard {self.shard_index} transport is closed; swap() after "
-                "close() is a protocol violation"
-            )
-        if self._inflight:
-            raise RuntimeError(
-                f"Shard {self.shard_index} has {len(self._inflight)} job(s) in "
-                "flight; bundle swaps happen only at a drain barrier"
-            )
-        return self._client.swap(bundle_dir, expected_bundle_id=expected_bundle_id)
-
-    def is_alive(self) -> bool:
-        """Whether the placement can still answer submitted work."""
-        return not self._closed and self._client.connected
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Drop the connection (the remote server keeps running)."""
-        self._closed = True
-        self._inflight.clear()
-        self._client.close()
-
-
-# --------------------------------------------------------------------------
-# Server-in-a-process helper and CLI
-# --------------------------------------------------------------------------
-
-
-def _async_server_process_main(bundle_dir: str, host: str, port: int, pipe) -> None:
-    server = AsyncReadoutServer(bundle_dir, host=host, port=port)
-    try:
-        server.start()
-    except Exception as exc:  # noqa: BLE001 - surfaced to the parent
-        pipe.send(("error", f"{type(exc).__name__}: {exc}"))
-        return
-    pipe.send(("ok", server.address))
-    try:
-        pipe.recv()  # blocks until "stop" or the parent (pipe) goes away
-    except EOFError:  # pragma: no cover - parent died
-        pass
-    server.close()
-
-
-def spawn_async_server(
-    bundle_dir: str | Path,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    start_method: str | None = None,
-) -> ServerProcessHandle:
-    """Run an :class:`AsyncReadoutServer` in a daemonic child process.
-
-    The asyncio twin of :func:`repro.service.net.spawn_server`: blocks until
-    the child has bound its socket and reports the address.
-    """
-    return spawn_server(
-        bundle_dir,
-        host=host,
-        port=port,
-        start_method=start_method,
-        server_main=_async_server_process_main,
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.service.aio BUNDLE [--host H] [--port P]``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.aio",
-        description="Serve a readout artifact bundle over asyncio TCP.",
-    )
-    parser.add_argument("bundle", type=Path, help="artifact bundle directory")
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    parser.add_argument(
-        "--port", type=int, default=0, help="bind port (0 picks a free one)"
-    )
-    parser.add_argument(
-        "--max-workers", type=int, default=None, help="engine worker-thread cap"
-    )
-    parser.add_argument(
-        "--executor-workers",
-        type=int,
-        default=4,
-        help="serve-executor thread cap (engine work off the event loop)",
-    )
-    args = parser.parse_args(argv)
-    server = AsyncReadoutServer(
-        args.bundle,
-        host=args.host,
-        port=args.port,
-        max_workers=args.max_workers,
-        executor_workers=args.executor_workers,
-    )
-    server.start()
-    host, port = server.address
-    print(f"Serving {args.bundle} on {host}:{port} (asyncio)", flush=True)
-    server.serve_forever()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -38,7 +38,7 @@ import time
 
 from repro.engine import wire
 
-__all__ = ["ChaosProxy", "ChaosServer", "ChaosTransport", "FaultSchedule"]
+__all__ = ["ChaosProxy", "ChaosTransport", "FaultSchedule"]
 
 
 class FaultSchedule:
@@ -166,17 +166,11 @@ class ChaosTransport:
 
     def _drop_active(self) -> bool:
         conns = getattr(self.inner, "_conns", None)
-        if conns is not None:  # replicated transport: drop the active conn
-            active = getattr(self.inner, "_active", None)
-            if active is not None and active in conns:
-                conns[active].drop()
-                return True
+        active = getattr(self.inner, "_active", None)
+        if conns is None or active not in conns:
             return False
-        conn = getattr(self.inner, "_conn", None)
-        if conn is not None:  # single-placement TCP transport
-            conn.drop()
-            return True
-        return False
+        conns[active].drop()
+        return True
 
     # -------------------------------------------------------------- protocol
     @property
@@ -343,7 +337,3 @@ class ChaosProxy:
             client.close()
             if upstream is not None:
                 upstream.close()
-
-
-#: The issue calls the proxy a "chaos server"; same object, dialable name.
-ChaosServer = ChaosProxy

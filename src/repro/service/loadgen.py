@@ -1,10 +1,9 @@
-"""Many-client load generator for the asyncio serving tier.
+"""Many-client load generator for the readout server.
 
 The latency-percentile bench behind the ``remote_async`` headline numbers:
 hundreds of multiplexed connections driven from one event loop, each
-pipelining tagged requests against an :class:`~repro.service.aio.AsyncReadoutServer`
-(or a threaded :class:`~repro.service.net.ReadoutServer` -- both echo the
-tag), with every individual latency kept and summarized into **exact**
+pipelining tagged requests against a :class:`~repro.service.net.ReadoutServer`,
+with every individual latency kept and summarized into **exact**
 p50/p95/p99 by :func:`repro.service.telemetry.summarize_latencies`.
 
 Two load modes, because they answer different questions:

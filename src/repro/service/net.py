@@ -5,20 +5,26 @@ result a self-contained binary frame; this module puts those frames on a
 socket:
 
 * :class:`ReadoutServer` -- loads an artifact bundle once and serves decoded
-  requests through :meth:`~repro.engine.engine.ReadoutEngine.serve` on a
-  threaded accept loop, one connection per client, graceful drain on
-  shutdown.  Also answers INFO frames with the deployment description
-  (qubit count, backend kind, shard-layout hints) so a remote front-end can
-  plan shard placement without a local bundle copy.
-* :class:`RemoteEngineClient` -- the caller's side: one reused connection,
-  configurable connect/request timeouts, typed transport errors
+  requests through :meth:`~repro.engine.engine.ReadoutEngine.serve` from
+  one asyncio event loop that multiplexes every connection, with engine
+  work on a small thread-pool executor and graceful drain on shutdown.
+  Untagged requests are answered strictly in order per connection; requests
+  tagged with a ``seq`` in the frame envelope are served concurrently and
+  answered in completion order.  Also answers INFO frames with the
+  deployment description (qubit count, backend kind, shard-layout hints) so
+  a remote front-end can plan shard placement without a local bundle copy.
+* :class:`RemoteEngineClient` -- the blocking caller: one reused
+  connection, configurable connect/request timeouts, typed transport errors
   (:class:`TransportError` and friends) for network failures, while *remote
   serving* failures re-raise with the same exception types and messages as
-  local serving (the codec ships them as structured error frames).
+  local serving (the codec ships them as structured error frames).  The
+  multiplexed twin that pipelines tagged requests over one socket is
+  :class:`~repro.service.aio.AsyncRemoteEngineClient`.
 * :class:`TcpShardTransport` -- a :class:`~repro.service.transport.ShardTransport`
-  over one such connection, so ``ReadoutService(shard_hosts=[...])`` places
-  its qubit shards on remote :class:`ReadoutServer`\\ s with micro-batching,
-  backpressure, and stats working unchanged.
+  over such connections, so ``ReadoutService(shard_hosts=[...])`` places
+  its qubit shards on remote :class:`ReadoutServer`\\ s -- one address or a
+  list of replicas per shard, failing over under a retry policy -- with
+  micro-batching, backpressure, and stats working unchanged.
 
 Run a server from the command line (the bundle is the one
 :meth:`ReadoutEngine.save` writes)::
@@ -30,9 +36,10 @@ Run a server from the command line (the bundle is the one
 from __future__ import annotations
 
 import argparse
+import asyncio
 import collections
+import concurrent.futures
 import random
-import selectors
 import socket
 import threading
 import time
@@ -44,6 +51,7 @@ from repro.engine.bundle import bundle_id_of, load_manifest
 from repro.engine.engine import ReadoutEngine
 from repro.engine.request import ReadoutRequest, ReadoutResult
 from repro.service.retry import RetryPolicy
+from repro.service.sharding import replica_addresses
 from repro.service.telemetry import TelemetryRecorder, new_trace_id
 
 __all__ = [
@@ -51,20 +59,19 @@ __all__ = [
     "TransportConnectError",
     "TransportTimeoutError",
     "AllReplicasDownError",
+    "FrameAssembler",
     "ServingCore",
     "ReadoutServer",
     "RemoteEngineClient",
     "TcpShardTransport",
-    "ReplicatedTcpShardTransport",
     "ServerProcessHandle",
     "spawn_server",
     "main",
 ]
 
-#: Accept-loop poll interval (seconds): how often a blocked accept() rechecks
-#: the drain flag.  Connection threads no longer poll at all -- they block in
-#: a selector that close() wakes explicitly through a socketpair.
-_POLL_INTERVAL_S = 0.25
+#: Threads of the server's serve executor: engine work runs there so the
+#: event loop never blocks on compute.
+_EXECUTOR_WORKERS = 4
 
 
 class TransportError(RuntimeError):
@@ -109,32 +116,110 @@ def _parse_address(address, port: int | None = None) -> tuple[str, int]:
 
 
 # --------------------------------------------------------------------------
-# The serving core (shared by the threaded and asyncio servers)
+# Zero-copy frame reassembly (server and multiplexed client)
+# --------------------------------------------------------------------------
+
+
+class FrameAssembler:
+    """Incremental zero-copy reassembly of wire frames for ``BufferedProtocol``.
+
+    :meth:`get_buffer` hands the event loop's ``recv_into`` a memoryview of
+    exactly the bytes still missing, so received data lands directly in its
+    final resting place: first a :data:`~repro.engine.wire.PREFIX_SIZE`
+    scratch buffer, then -- once :func:`~repro.engine.wire.frame_total_size`
+    has validated magic, version, and the allocation bound -- one exact-size
+    buffer per frame.  The only copy on the path is the 18-byte prefix
+    moving into the frame buffer; header and payload bytes are written once
+    by the kernel and never moved again, and the completed ``bytearray``
+    owns its memory, so downstream zero-copy request decoding (the NumPy
+    views :func:`~repro.engine.wire.decode_request` creates) stays valid
+    without another copy.
+    """
+
+    def __init__(self, max_bytes: int = wire.MAX_FRAME_BYTES) -> None:
+        self._max_bytes = int(max_bytes)
+        self._reset()
+
+    def _reset(self) -> None:
+        self._buffer = bytearray(wire.PREFIX_SIZE)
+        self._view = memoryview(self._buffer)
+        self._filled = 0
+        self._total: int | None = None
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        """The writable view of the bytes still missing (never empty)."""
+        return self._view[self._filled :]
+
+    def buffer_updated(self, nbytes: int) -> bytearray | None:
+        """Advance past ``nbytes`` freshly received; the completed frame, if any.
+
+        Raises :class:`~repro.engine.wire.WireFormatError` for garbage
+        prefixes (bad magic, foreign version, oversized length): a stream
+        that cannot be resynced, so the caller drops the connection.
+        """
+        self._filled += nbytes
+        if self._total is None:
+            if self._filled < wire.PREFIX_SIZE:
+                return None
+            self._total = wire.frame_total_size(self._view, self._max_bytes)
+            if self._total > self._filled:
+                frame = bytearray(self._total)
+                frame[: self._filled] = self._buffer
+                self._buffer = frame
+                self._view = memoryview(frame)
+                return None
+        if self._filled < self._total:
+            return None
+        frame = self._buffer
+        self._reset()
+        return frame
+
+
+#: Frames smaller than this are joined into a single ``transport.write()``
+#: -- for small frames one extra copy is cheaper than a syscall per chunk.
+#: Larger frames keep the scatter path: their payload arrays ride as the
+#: encoder's memoryviews and are never joined.
+_COALESCE_BYTES = 64 * 1024
+
+
+def _write_frame_chunks(transport, chunks) -> None:
+    """Write one frame's chunks: coalesced when small, scattered when bulk.
+
+    Either way every chunk goes out inside one loop callback, so frames
+    written concurrently by different tasks never interleave mid-frame.
+    """
+    if len(chunks) > 1 and sum(map(len, chunks)) < _COALESCE_BYTES:
+        transport.write(b"".join(chunks))
+    else:
+        for chunk in chunks:
+            transport.write(chunk)
+
+
+# --------------------------------------------------------------------------
+# The serving core
 # --------------------------------------------------------------------------
 
 
 class ServingCore:
-    """The I/O-agnostic heart of a readout server.
+    """The I/O-agnostic heart of :class:`ReadoutServer`.
 
     Everything that happens between a decoded request frame and its reply
     bytes -- bundle loading, engine hot swaps, the idempotent reply cache,
-    request/compute telemetry -- lives here, shared by the threaded
-    :class:`ReadoutServer` and the asyncio
-    :class:`~repro.service.aio.AsyncReadoutServer`.  The I/O tiers stay
-    thin: they move frames, the core answers them.
+    request/compute telemetry, the connection gauges -- lives here; the
+    server's event loop only moves frames.
 
     :meth:`reply_chunks_for` returns each reply as a list of buffers
-    (prefix, header, then each result array) so a scatter-writing transport
-    puts the bulk arrays on the socket without flattening them into an
-    intermediate ``bytes``; the threaded tier joins the chunks before its
-    blocking ``write_frame``.  Every reply echoes the request envelope's
-    pipelining ``seq`` tag (when present), which is how interleaved replies
-    find their in-flight future on a multiplexing client.
+    (prefix, header, then each result array) so the server puts the bulk
+    arrays on the socket without flattening them into an intermediate
+    ``bytes``.  Every reply echoes the request envelope's pipelining
+    ``seq`` tag (when present), which is how interleaved replies find their
+    in-flight future on a multiplexing client.
 
-    Thread safety: every method may be called from any thread (connection
-    threads, the asyncio executor's workers).  The engine reference and
-    deployment info flip together under ``_swap_lock``; counters live under
-    ``_served_lock``; the reply cache under ``_cache_lock``.
+    Thread safety: :meth:`reply_chunks_for` runs on the server's executor
+    threads.  The engine reference and deployment info flip together under
+    ``_swap_lock``; counters live under ``_served_lock``; the reply cache
+    under ``_cache_lock``.  The connection gauges are written only on the
+    server's event-loop thread and read as gauges.
     """
 
     def __init__(
@@ -145,14 +230,10 @@ class ServingCore:
         max_workers: int | None = None,
         reply_cache_size: int = 256,
         telemetry: bool = True,
-        transport_label: str = "tcp",
-        metrics_source: str = "readout-server",
     ) -> None:
         self.bundle_dir = Path(bundle_dir)
         self._parallel = parallel
         self._max_workers = max_workers
-        self._transport_label = str(transport_label)
-        self._metrics_source = str(metrics_source)
         # The engine reference, deployment info, and swap counter flip
         # together under one lock (SWAP_REQUEST handling); request handlers
         # take a local engine reference under it, so an in-flight request
@@ -176,10 +257,8 @@ class ServingCore:
         self._telemetry = TelemetryRecorder(
             enabled=bool(telemetry), stages=("compute", "handle")
         )
-        #: Optional zero-arg callable whose dict is merged into every
-        #: metrics snapshot -- the asyncio tier reports its connection
-        #: gauges through the same METRICS frame this way.
-        self.extra_metrics = None
+        self._connections_open = 0
+        self._connections_accepted = 0
 
     # ---------------------------------------------------------------- state
     @property
@@ -202,12 +281,13 @@ class ServingCore:
         with self._swap_lock:
             return dict(self._info)
 
-    def metrics(self, source: str | None = None) -> dict:
+    def metrics(self) -> dict:
         """The live telemetry snapshot the METRICS wire frame serves.
 
         Latency histograms (engine compute, whole-request handling) with
-        p50/p95/p99 summaries, the served/deduplicated counters, and the
-        full bucket counts so a front-end can merge snapshots across hosts.
+        p50/p95/p99 summaries, the served/deduplicated counters, the
+        connection gauges, and the full bucket counts so a front-end can
+        merge snapshots across hosts.
         """
         with self._served_lock:
             served = self._requests_served
@@ -216,14 +296,23 @@ class ServingCore:
             swaps = self._swaps
         snapshot = self._telemetry.snapshot()
         snapshot.update(
-            source=self._metrics_source if source is None else source,
+            source="readout-server",
             requests_served=served,
             deduplicated_replies=deduplicated,
             bundle_swaps=swaps,
+            connections_open=self._connections_open,
+            connections_accepted=self._connections_accepted,
         )
-        if self.extra_metrics is not None:
-            snapshot.update(self.extra_metrics())
         return snapshot
+
+    def connection_opened(self) -> None:
+        """Count one accepted connection (server loop thread only)."""
+        self._connections_open += 1
+        self._connections_accepted += 1
+
+    def connection_closed(self) -> None:
+        """Count one closed connection (server loop thread only)."""
+        self._connections_open -= 1
 
     # ------------------------------------------------------------ lifecycle
     def load(self) -> None:
@@ -337,11 +426,7 @@ class ServingCore:
                     logits=result.logits,
                     n_shots=result.n_shots,
                     elapsed_s=result.elapsed_s,
-                    meta={
-                        **result.meta,
-                        "transport": self._transport_label,
-                        **trace_keys,
-                    },
+                    meta={**result.meta, "transport": "tcp", **trace_keys},
                 ),
                 wire_meta=envelope,
             )
@@ -419,8 +504,135 @@ class ServingCore:
 # --------------------------------------------------------------------------
 
 
+class _ServerProtocol(asyncio.BufferedProtocol):
+    """One client connection on the server's event loop.
+
+    Tagged requests (a ``seq`` in the envelope) are served concurrently on
+    the executor and their replies written in completion order -- the peer
+    reorders by tag.  Untagged requests are the blocking
+    :class:`RemoteEngineClient` and :class:`TcpShardTransport` speaking;
+    their replies are chained strictly FIFO, the order those clients read
+    them in.
+    """
+
+    def __init__(self, server: "ReadoutServer") -> None:
+        self._server = server
+        self._assembler = FrameAssembler()
+        self._transport = None
+        self._inflight: set = set()
+        self._tasks: set[asyncio.Task] = set()
+        self._fifo_tail: asyncio.Future | None = None
+
+    # ------------------------------------------------------ protocol hooks
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        sock = transport.get_extra_info("socket")
+        if sock is not None:
+            try:
+                # asyncio already sets TCP_NODELAY on TCP transports; add
+                # keepalive so connections whose peer vanished without a FIN
+                # are reaped instead of leaking forever.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+            except OSError:  # pragma: no cover - peer already gone
+                pass
+        self._server._register_connection(self)
+
+    def connection_lost(self, exc) -> None:
+        for task in list(self._tasks):
+            task.cancel()
+        self._server._unregister_connection(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._assembler.get_buffer(sizehint)
+
+    def buffer_updated(self, nbytes: int) -> None:
+        try:
+            frame = self._assembler.buffer_updated(nbytes)
+        except wire.WireFormatError:
+            # Unframeable garbage we cannot resync from: drop the connection
+            # (the client sees a TransportError and may reconnect).
+            self._transport.close()
+            return
+        if frame is not None:
+            self._dispatch(frame)
+
+    # ------------------------------------------------------------ dispatch
+    def _dispatch(self, frame) -> None:
+        try:
+            envelope = wire.frame_wire_meta(frame)
+        except wire.WireFormatError:
+            self._transport.close()
+            return
+        seq = envelope.get("seq")
+        if seq is not None:
+            if seq in self._inflight:
+                # A duplicate in-flight tag is a protocol violation answered
+                # loudly on exactly that tag; sibling requests are untouched.
+                _write_frame_chunks(
+                    self._transport,
+                    [
+                        wire.encode_error(
+                            wire.WireFormatError(
+                                f"Pipeline tag seq={seq!r} is already in "
+                                "flight on this connection"
+                            ),
+                            wire_meta={"seq": seq},
+                        )
+                    ],
+                )
+                return
+            self._inflight.add(seq)
+        task = self._server._loop.create_task(self._serve(frame, seq))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _serve(self, frame, seq) -> None:
+        server = self._server
+        prev = done = None
+        if seq is None:
+            # Untagged peers expect strict FIFO replies: chain the writes so
+            # executor concurrency never reorders their stream.
+            prev, done = self._fifo_tail, server._loop.create_future()
+            self._fifo_tail = done
+        try:
+            try:
+                chunks = await server._loop.run_in_executor(
+                    server._executor, server._core.reply_chunks_for, frame
+                )
+            except RuntimeError as exc:  # executor shut down mid-drain
+                chunks = [
+                    wire.encode_error(
+                        exc, wire_meta=None if seq is None else {"seq": seq}
+                    )
+                ]
+            if prev is not None:
+                await prev
+            if not self._transport.is_closing():
+                _write_frame_chunks(self._transport, chunks)
+        finally:
+            if seq is not None:
+                self._inflight.discard(seq)
+            if done is not None and not done.done():
+                done.set_result(None)
+
+    # ------------------------------------------------------------- draining
+    def pending_tasks(self) -> list:
+        return [task for task in self._tasks if not task.done()]
+
+    def close_transport(self) -> None:
+        if self._transport is not None:
+            self._transport.close()
+
+
 class ReadoutServer:
     """Serve an artifact bundle's engine to the network.
+
+    One event loop (on its own thread) multiplexes every connection; engine
+    work runs on a small thread-pool executor so the loop never blocks on
+    compute.  Reads are zero-copy (:class:`FrameAssembler`); small reply
+    frames coalesce into one ``write()`` while bulk result arrays reach the
+    socket as the encoder's memoryviews.  Bundle loading, hot swaps, the
+    idempotent reply cache, and telemetry live in :class:`ServingCore`.
 
     Parameters
     ----------
@@ -436,10 +648,11 @@ class ReadoutServer:
     max_workers:
         Worker-thread cap for the loaded engine's per-qubit fan-out.
     backlog:
-        Listen backlog for the accept loop.
+        Listen backlog.  High by default: a thousand clients dialing at
+        once is normal weather for one event loop.
     drain_timeout:
-        How long :meth:`close` waits for each in-flight connection to finish
-        its current request before force-closing the socket.
+        How long :meth:`close` waits for in-flight requests to finish
+        before closing their connections.
     reply_cache_size:
         How many recent replies to keep, keyed by the idempotent
         ``request_id`` retrying clients stamp into wire meta.  A retried
@@ -462,7 +675,7 @@ class ReadoutServer:
         *,
         parallel: bool | None = None,
         max_workers: int | None = None,
-        backlog: int = 16,
+        backlog: int = 512,
         drain_timeout: float = 10.0,
         reply_cache_size: int = 256,
         telemetry: bool = True,
@@ -473,24 +686,20 @@ class ReadoutServer:
             max_workers=max_workers,
             reply_cache_size=reply_cache_size,
             telemetry=telemetry,
-            transport_label="tcp",
         )
         self._requested = (host, int(port))
         self._backlog = int(backlog)
         self._drain_timeout = float(drain_timeout)
-        self._listener: socket.socket | None = None
-        # close() wakes idle connection threads (blocked in their selectors)
-        # by writing one byte here; level-triggered readiness means a single
-        # never-consumed byte wakes every selector that registered the read
-        # end, no matter how many connections are parked.
-        self._wakeup_r: socket.socket | None = None
-        self._wakeup_w: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._conn_lock = threading.Lock()
-        self._connections: dict[socket.socket, threading.Thread] = {}
-        self._closing = threading.Event()
-        self._closed = threading.Event()
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
+        self._aio_server = None
+        self._executor: concurrent.futures.ThreadPoolExecutor | None = None
+        # Touched only on the loop thread.
+        self._connections: set[_ServerProtocol] = set()
+        self._address: tuple[str, int] | None = None
         self._started = False
+        self._closing = False
+        self._closed = threading.Event()
 
     # ---------------------------------------------------------------- state
     @property
@@ -501,9 +710,9 @@ class ReadoutServer:
     @property
     def address(self) -> tuple[str, int]:
         """The bound ``(host, port)`` (only meaningful after :meth:`start`)."""
-        if self._listener is None:
+        if self._address is None:
             raise RuntimeError("ReadoutServer is not started")
-        return self._listener.getsockname()[:2]
+        return self._address
 
     @property
     def requests_served(self) -> int:
@@ -519,35 +728,59 @@ class ReadoutServer:
         """The live telemetry snapshot the METRICS wire frame serves.
 
         Latency histograms (engine compute, whole-request handling) with
-        p50/p95/p99 summaries, the served/deduplicated counters, and the
-        full bucket counts so a front-end can merge snapshots across hosts.
+        p50/p95/p99 summaries, the served/deduplicated counters, the
+        connection gauges, and the full bucket counts so a front-end can
+        merge snapshots across hosts.
         """
         return self._core.metrics()
 
+    def _register_connection(self, conn: _ServerProtocol) -> None:
+        self._connections.add(conn)
+        self._core.connection_opened()
+
+    def _unregister_connection(self, conn: _ServerProtocol) -> None:
+        self._connections.discard(conn)
+        self._core.connection_closed()
+
     # ------------------------------------------------------------ lifecycle
     def start(self) -> "ReadoutServer":
-        """Load the bundle and start accepting connections.  Idempotent."""
+        """Load the bundle, spin up the loop thread, bind.  Idempotent."""
         if self._started:
             return self
-        if self._closing.is_set():
+        if self._closing:
             raise RuntimeError("ReadoutServer is closed")
         self._core.load()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self._requested)
-        listener.listen(self._backlog)
-        # A timed accept keeps the loop responsive to close(): a blocked
-        # accept() is NOT reliably woken by closing the listener from
-        # another thread, and shutdown must not eat the drain timeout.
-        listener.settimeout(_POLL_INTERVAL_S)
-        self._listener = listener
-        self._wakeup_r, self._wakeup_w = socket.socketpair()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="readout-server-accept", daemon=True
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=_EXECUTOR_WORKERS,
+            thread_name_prefix="readout-server-serve",
         )
-        self._accept_thread.start()
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._run_loop, name="readout-server-loop", daemon=True
+        )
+        self._thread.start()
+        try:
+            self._address = asyncio.run_coroutine_threadsafe(
+                self._bind(), self._loop
+            ).result(30.0)
+        except Exception:
+            self._stop_loop()
+            self._executor.shutdown(wait=False)
+            self._core.close()
+            raise
         self._started = True
         return self
+
+    def _run_loop(self) -> None:
+        asyncio.set_event_loop(self._loop)
+        self._loop.run_forever()
+
+    async def _bind(self) -> tuple[str, int]:
+        host, port = self._requested
+        self._aio_server = await self._loop.create_server(
+            lambda: _ServerProtocol(self), host, port, backlog=self._backlog
+        )
+        return self._aio_server.sockets[0].getsockname()[:2]
 
     def serve_forever(self) -> None:
         """Start (if needed) and block until :meth:`close` is called."""
@@ -560,127 +793,56 @@ class ReadoutServer:
     def close(self) -> None:
         """Graceful drain: stop accepting, let in-flight requests finish, reap.
 
-        Connections finish the request they are currently serving (replies
-        are flushed) and are then closed; a connection that stays mid-frame
-        past ``drain_timeout`` is force-closed.  Idempotent.
+        Requests already being served finish and their replies are written;
+        connections are then closed (those still busy past
+        ``drain_timeout`` are closed anyway).  Idempotent; a concurrent
+        caller blocks until the first close finishes.
         """
-        if self._closing.is_set():
+        if self._closing:
             self._closed.wait()
             return
-        self._closing.set()
-        if self._wakeup_w is not None:
+        self._closing = True
+        if self._started:
             try:
-                self._wakeup_w.send(b"\0")  # wake every idle connection selector
-            except OSError:  # pragma: no cover - already torn down
-                pass
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(self._drain_timeout)
-        with self._conn_lock:
-            pending = list(self._connections.items())
-        for conn, thread in pending:
-            thread.join(self._drain_timeout)
-            if thread.is_alive():  # pragma: no cover - stuck mid-frame
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                thread.join(self._drain_timeout)
+                asyncio.run_coroutine_threadsafe(
+                    self._shutdown(), self._loop
+                ).result(self._drain_timeout + 10.0)
+            except (concurrent.futures.TimeoutError, RuntimeError):
+                pass  # force the teardown below
+            self._stop_loop()
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
         self._core.close()
-        for wakeup in (self._wakeup_r, self._wakeup_w):
-            if wakeup is not None:
-                try:
-                    wakeup.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
         self._closed.set()
+
+    async def _shutdown(self) -> None:
+        if self._aio_server is not None:
+            self._aio_server.close()
+            await self._aio_server.wait_closed()
+        deadline = self._loop.time() + self._drain_timeout
+        tasks = [
+            task for conn in self._connections for task in conn.pending_tasks()
+        ]
+        if tasks:
+            await asyncio.wait(
+                tasks, timeout=max(0.0, deadline - self._loop.time())
+            )
+        for conn in list(self._connections):
+            conn.close_transport()
+
+    def _stop_loop(self) -> None:
+        if self._loop is None:
+            return
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(10.0)
+        if not self._thread.is_alive():
+            self._loop.close()
 
     def __enter__(self) -> "ReadoutServer":
         return self.start()
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # ----------------------------------------------------------- accept loop
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, _peer = self._listener.accept()
-            except socket.timeout:
-                continue  # poll the drain flag
-            except OSError:
-                return  # listener closed: drain is underway
-            conn.settimeout(None)
-            try:
-                # Mirror the client side: replies are small next to carrier
-                # batches, so Nagle coalescing only adds latency; keepalive
-                # reaps connections whose peer vanished without a FIN.
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
-            except OSError:  # pragma: no cover - peer already gone
-                conn.close()
-                continue
-            if self._closing.is_set():
-                conn.close()
-                return
-            thread = threading.Thread(
-                target=self._connection_loop,
-                args=(conn,),
-                name="readout-server-conn",
-                daemon=True,
-            )
-            with self._conn_lock:
-                self._connections[conn] = thread
-            thread.start()
-
-    def _connection_loop(self, conn: socket.socket) -> None:
-        """Serve one client connection: frames in, frames out, strictly FIFO."""
-        selector = selectors.DefaultSelector()
-        try:
-            # Unbuffered streams keep the selector truthful: bytes are either
-            # in the kernel buffer (readable) or consumed into a frame, never
-            # parked invisibly in a user-space BufferedReader.
-            rfile = conn.makefile("rb", buffering=0)
-            wfile = conn.makefile("wb", buffering=0)
-            # An idle connection blocks here without waking: no data, no CPU.
-            # close() writes one byte to the wakeup pair and the selector
-            # returns immediately (the byte is never consumed, so the wake is
-            # level-triggered for every connection thread at once).
-            selector.register(conn, selectors.EVENT_READ)
-            selector.register(self._wakeup_r, selectors.EVENT_READ)
-            while True:
-                events = selector.select()
-                if not any(key.fileobj is conn for key, _ in events):
-                    if self._closing.is_set():
-                        return  # idle connection during drain
-                    continue  # spurious wakeup
-                frame = wire.read_frame(rfile)
-                if frame is None:
-                    return  # client hung up cleanly
-                wire.write_frame(wfile, self._reply_for(frame))
-        except (OSError, ValueError):
-            # Connection torn down mid-frame, or unframeable garbage we
-            # cannot resync from: drop the connection (the client sees a
-            # TransportError and may reconnect).
-            return
-        finally:
-            selector.close()
-            with self._conn_lock:
-                self._connections.pop(conn, None)
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-    def _reply_for(self, frame: bytes) -> bytes:
-        """One contiguous reply frame (the blocking tier joins the chunks)."""
-        return b"".join(self._core.reply_chunks_for(frame))
-
-
 # --------------------------------------------------------------------------
 # Client
 # --------------------------------------------------------------------------
@@ -953,146 +1115,44 @@ class RemoteEngineClient:
         return f"RemoteEngineClient({self.address!r})"
 
 
+
+
 # --------------------------------------------------------------------------
 # The TCP shard transport
 # --------------------------------------------------------------------------
 
 
 class TcpShardTransport:
-    """A :class:`~repro.service.transport.ShardTransport` over one TCP connection.
+    """A :class:`~repro.service.transport.ShardTransport` over TCP, with failover.
 
-    Each shard placement is one connection to one :class:`ReadoutServer`;
-    the server answers frames strictly in order, so the per-shard FIFO
+    One qubit shard placed on one or more interchangeable
+    :class:`ReadoutServer`\\ s that have loaded the same bundle.
+    ``addresses`` is any ``shard_hosts`` entry -- ``"host:port"``,
+    ``(host, port)``, or a list of replicas
+    (:func:`~repro.service.sharding.replica_addresses`).  Exactly one
+    replica -- the **active** one -- carries traffic at a time, and the
+    server answers untagged frames strictly in order, so the per-shard FIFO
     protocol the front-end relies on holds across the network exactly as it
     does across a pipe.  Job ids are tracked locally (the wire does not
     carry them) and checked on collect so a protocol bug fails loudly.
-    """
 
-    name = "tcp"
+    When the active replica fails (connection lost, refused, mid-frame
+    truncation, or a reply slower than the per-try deadline) and the
+    :class:`~repro.service.retry.RetryPolicy` has tries left, the transport
+    **fails over**: it redials the next replica -- healthy ones first, per
+    the optional :class:`~repro.service.health.HostPool` -- and resends
+    every still-unanswered frame in order.  A frame reaches servers at most
+    ``retry.attempts`` times; once its tries are spent the transport raises
+    :class:`AllReplicasDownError`, the typed signal the service turns into
+    graceful degradation.  Whenever the policy can resend, frames carry an
+    idempotent ``request_id`` in wire meta, so a server that already
+    answered a resent frame replays its cached reply instead of serving it
+    twice: failover is exactly-once from the caller's point of view.
 
-    def __init__(
-        self,
-        shard_index: int,
-        qubits: list[int],
-        address,
-        *,
-        timeout: float = 30.0,
-        connect_timeout: float = 5.0,
-    ) -> None:
-        self.shard_index = shard_index
-        self.qubits = list(qubits)
-        self.qubit_set = frozenset(self.qubits)
-        host, port = _parse_address(address)
-        self._conn = _FramedConnection(host, port, timeout, connect_timeout)
-        self._pending: collections.deque[int] = collections.deque()
-        self._closed = False
-        # Fail at placement time, not first dispatch: a typo'd host list
-        # should abort service start-up.
-        self._conn._ensure()
-
-    @property
-    def address(self) -> str:
-        """The placed server's ``host:port``."""
-        return self._conn.address
-
-    def submit(
-        self, job_id: int, request: ReadoutRequest, wire_meta: dict | None = None
-    ) -> None:
-        """Send one sub-request (columns already restricted to this shard)."""
-        if self._closed:
-            raise RuntimeError(
-                f"Shard {self.shard_index} transport is closed; submit() after "
-                "close() is a protocol violation"
-            )
-        self._conn.send(wire.encode_request(request, wire_meta))
-        self._pending.append(job_id)
-
-    def collect(self, job_id: int) -> ReadoutResult:
-        """Block for the response to ``job_id`` and decode it."""
-        if not self._pending:
-            raise RuntimeError(
-                f"Shard {self.shard_index} has no job in flight while job "
-                f"{job_id} was expected; the shard protocol is out of sync"
-            )
-        expected = self._pending.popleft()
-        if expected != job_id:
-            raise RuntimeError(
-                f"Shard {self.shard_index} would answer job {expected} while "
-                f"job {job_id} was expected; the shard protocol is out of sync"
-            )
-        try:
-            reply = self._conn.receive()
-        except TransportError as exc:
-            raise TransportError(
-                f"Shard {self.shard_index} server at {self.address} died "
-                f"before answering job {job_id}: {exc}"
-            ) from exc
-        return wire.decode_reply(reply)
-
-    def swap(self, bundle_dir, expected_bundle_id: str | None = None) -> dict:
-        """Hot-swap the placed server's bundle; blocks for the SWAP ack.
-
-        Called at the service's drain barrier, when this FIFO transport has
-        nothing in flight -- enforced here, because a swap roundtrip racing
-        request replies would desynchronize the job-id FIFO.
-        """
-        if self._closed:
-            raise RuntimeError(
-                f"Shard {self.shard_index} transport is closed; swap() after "
-                "close() is a protocol violation"
-            )
-        if self._pending:
-            raise RuntimeError(
-                f"Shard {self.shard_index} has {len(self._pending)} job(s) in "
-                "flight; bundle swaps happen only at a drain barrier"
-            )
-        spec: dict = {"bundle_dir": str(bundle_dir)}
-        if expected_bundle_id is not None:
-            spec["expected_bundle_id"] = str(expected_bundle_id)
-        return wire.decode_swap(
-            self._conn.roundtrip(wire.encode_swap_request(spec))
-        )
-
-    def is_alive(self) -> bool:
-        """Whether the placement can still answer submitted work."""
-        return not self._closed and self._conn.connected
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Drop the connection (the remote server keeps running)."""
-        self._closed = True
-        self._pending.clear()
-        self._conn.drop()
-
-
-# --------------------------------------------------------------------------
-# The replicated TCP shard transport (failover across replica placements)
-# --------------------------------------------------------------------------
-
-
-class ReplicatedTcpShardTransport:
-    """One qubit shard placed on *several* interchangeable servers.
-
-    Each address names a :class:`ReadoutServer` that has loaded the same
-    bundle; exactly one -- the **active replica** -- carries traffic at a
-    time, so the per-shard FIFO protocol is untouched.  When the active
-    replica fails (connection lost, refused, mid-frame truncation, or a
-    reply slower than the per-try deadline), the transport **fails over**:
-    it redials the next replica -- healthy ones first, per the optional
-    :class:`~repro.service.health.HostPool` -- and resends every
-    still-unanswered frame in order.  Every frame carries an idempotent
-    ``request_id`` in wire meta, so a server that already answered a resent
-    frame replays its cached reply instead of serving it twice: failover is
-    exactly-once from the caller's point of view.
-
-    The :class:`~repro.service.retry.RetryPolicy` bounds the whole loop
-    (sweep attempts across replicas, exponential backoff with a jitter cap,
-    optional per-try deadline); when the budget is spent the transport
-    raises :class:`AllReplicasDownError`, the typed signal the service
-    turns into graceful degradation.
-
-    A single address is valid -- then "failover" degenerates to
-    reconnect-and-resend against a restarted placement, which is exactly
-    what a self-healing single-host deployment wants.
+    ``retry=None`` is fail-fast (``RetryPolicy(attempts=1)``): the first
+    failure surfaces as :class:`AllReplicasDownError` saying the server
+    died before answering.  With a single address, failover degenerates to
+    reconnect-and-resend against a restarted placement.
     """
 
     name = "tcp"
@@ -1110,42 +1170,34 @@ class ReplicatedTcpShardTransport:
         seed: int | None = None,
         should_abort=None,
     ) -> None:
-        if not addresses:
-            raise ValueError(
-                f"Shard {shard_index} needs at least one replica address"
-            )
         self.shard_index = shard_index
         self.qubits = list(qubits)
         self.qubit_set = frozenset(self.qubits)
-        self._retry = retry or RetryPolicy()
-        effective_timeout = (
-            self._retry.try_timeout_s
-            if self._retry.try_timeout_s is not None
-            else timeout
-        )
+        self._retry = retry if retry is not None else RetryPolicy(attempts=1)
+        if self._retry.try_timeout_s is not None:
+            timeout = self._retry.try_timeout_s
         self._pool = pool
         self._rng = random.Random(seed)
         self._should_abort = should_abort or (lambda: False)
         self.addresses: list[str] = []
         self._conns: dict[str, _FramedConnection] = {}
-        for address in addresses:
+        for address in replica_addresses(addresses):
             host, port = _parse_address(address)
             key = f"{host}:{port}"
             if key in self._conns:
                 continue
             self.addresses.append(key)
-            self._conns[key] = _FramedConnection(
-                host, port, effective_timeout, connect_timeout
-            )
+            self._conns[key] = _FramedConnection(host, port, timeout, connect_timeout)
             if self._pool is not None:
                 self._pool.add(key)
-        #: Unanswered frames in submission order: ``(job_id, frame)``.
-        self._pending: collections.deque[tuple[int, bytes]] = collections.deque()
+        #: Unanswered frames in submission order: ``[job_id, frame, sends]``.
+        self._pending: collections.deque[list] = collections.deque()
         self._active: str | None = None
         self.counters = {"failovers": 0, "resubmissions": 0}
         self._closed = False
-        # Fail at placement time only when *no* replica is reachable: the
-        # placement exists as long as one server answers.
+        # Fail at placement time, not first dispatch -- a typo'd host list
+        # should abort service start-up -- but only when *no* replica is
+        # reachable: the placement exists as long as one server answers.
         self._connect_any(initial=True)
 
     # ------------------------------------------------------------- replicas
@@ -1168,34 +1220,48 @@ class ReplicatedTcpShardTransport:
             ordered = self._pool.order_by_health(ordered)
         return ordered
 
-    def _connect_any(self, initial: bool = False) -> None:
-        """Dial replicas until one accepts (and takes the pending backlog)."""
-        errors: list[str] = []
-        attempts = 1 if initial else self._retry.attempts
-        for attempt in range(1, attempts + 1):
-            delay = self._retry.delay(attempt, self._rng)
+    def _dial_order(self, sweeps: int):
+        """``sweeps`` passes over :meth:`_candidates`, backing off between."""
+        for sweep in range(1, sweeps + 1):
+            delay = self._retry.delay(sweep, self._rng)
             if delay:
                 time.sleep(delay)
-            for candidate in self._candidates():
-                if self._should_abort():
-                    raise TransportError(
-                        f"Shard {self.shard_index} failover aborted: the "
-                        "service is closing"
-                    )
-                conn = self._conns[candidate]
-                conn.drop()  # a stale socket to a restarted server must redial
-                try:
-                    conn._ensure()
-                    for _job_id, frame in self._pending:
-                        conn.send(frame)
-                        self.counters["resubmissions"] += 1
-                    self._active = candidate
-                    return
-                except TransportError as exc:
-                    errors.append(f"{candidate}: {exc}")
-                    if self._pool is not None:
-                        self._pool.record_failure(candidate, error=str(exc))
-                    continue
+            yield from self._candidates()
+
+    def _spent(self) -> bool:
+        """Whether the oldest unanswered frame has used all of its tries.
+
+        Every resend sweep starts at the head of the backlog, so the head
+        frame is always the one sent most often.
+        """
+        return bool(self._pending) and self._pending[0][2] >= self._retry.attempts
+
+    def _connect_any(self, initial: bool = False) -> None:
+        """Dial replicas until one accepts and takes the unanswered backlog."""
+        errors: list[str] = []
+        for candidate in self._dial_order(1 if initial else self._retry.attempts):
+            if self._should_abort():
+                raise TransportError(
+                    f"Shard {self.shard_index} failover aborted: the "
+                    "service is closing"
+                )
+            if self._spent():
+                break
+            conn = self._conns[candidate]
+            conn.drop()  # a stale socket to a restarted server must redial
+            try:
+                conn._ensure()
+                for entry in self._pending:
+                    entry[2] += 1
+                    conn.send(entry[1])
+                    self.counters["resubmissions"] += 1
+            except TransportError as exc:
+                errors.append(f"{candidate}: {exc}")
+                if self._pool is not None:
+                    self._pool.record_failure(candidate, error=str(exc))
+                continue
+            self._active = candidate
+            return
         detail = "; ".join(errors[-len(self.addresses) :]) or "no replicas"
         if initial:
             raise TransportConnectError(
@@ -1212,9 +1278,18 @@ class ReplicatedTcpShardTransport:
             f"{self.addresses}): {detail}"
         )
 
-    def _failover(self, reason: str) -> None:
+    def _failover(self, exc: Exception) -> None:
+        """Move the backlog to the next replica, or fail it once tries are spent."""
         if self._pool is not None and self._active is not None:
-            self._pool.record_failure(self._active, error=reason)
+            self._pool.record_failure(self._active, error=str(exc))
+        if self._spent():
+            job_id = self._pending[0][0]
+            self._pending.clear()  # failing the job: clean FIFO restart
+            raise AllReplicasDownError(
+                f"Shard {self.shard_index} server at {self.address} died "
+                f"before answering job {job_id} "
+                f"({self._retry.attempts} attempt(s)): {exc}"
+            ) from exc
         self.counters["failovers"] += 1
         self._connect_any()
 
@@ -1224,33 +1299,34 @@ class ReplicatedTcpShardTransport:
     ) -> None:
         """Send one sub-request to the active replica (failing over if needed).
 
-        The idempotent ``request_id`` and the caller's ``wire_meta`` (trace
-        ids) share one envelope; a failover resends this exact frame, so
-        both survive the resend -- and the reply-cache dedup -- unchanged.
+        When the policy can resend, the idempotent ``request_id`` and the
+        caller's ``wire_meta`` (trace ids) share one envelope; a failover
+        resends this exact frame, so both survive the resend -- and the
+        reply-cache dedup -- unchanged.
         """
         if self._closed:
             raise RuntimeError(
                 f"Shard {self.shard_index} transport is closed; submit() after "
                 "close() is a protocol violation"
             )
-        frame = wire.encode_request(
-            request,
-            wire_meta={"request_id": uuid.uuid4().hex, **(wire_meta or {})},
-        )
-        self._pending.append((job_id, frame))
+        if self._retry.attempts > 1:
+            wire_meta = {"request_id": uuid.uuid4().hex, **(wire_meta or {})}
+        entry = [job_id, wire.encode_request(request, wire_meta), 0]
+        self._pending.append(entry)
         conn = self._conns[self._active]
         if not conn.connected and len(self._pending) > 1:
             # A plain send() would redial and carry only this frame,
             # stranding the earlier pending ones sent on the lost
             # connection; the failover sweep resends the whole backlog.
-            self._failover("connection lost with frames in flight")
+            self._failover(TransportError("connection lost with frames in flight"))
             return
+        entry[2] = 1
         try:
-            conn.send(frame)
+            conn.send(entry[1])
         except (TransportError, wire.WireFormatError) as exc:
             # The frame is already queued in _pending, so the failover
             # resend sweep carries it to whichever replica answers next.
-            self._failover(str(exc))
+            self._failover(exc)
 
     def collect(self, job_id: int) -> ReadoutResult:
         """Block for the response to ``job_id``, failing over on dead replicas."""
@@ -1265,7 +1341,6 @@ class ReplicatedTcpShardTransport:
                 f"Shard {self.shard_index} would answer job {expected} while "
                 f"job {job_id} was expected; the shard protocol is out of sync"
             )
-        failovers = 0
         while True:
             try:
                 reply = self._conns[self._active].receive()
@@ -1273,14 +1348,7 @@ class ReplicatedTcpShardTransport:
                 # Includes replies slower than the per-try deadline: a slow
                 # replica is failed over exactly like a dead one (the
                 # request id keeps the resend idempotent).
-                failovers += 1
-                if failovers > self._retry.attempts:
-                    self._pending.clear()  # failing the job: clean FIFO restart
-                    raise AllReplicasDownError(
-                        f"Shard {self.shard_index}: job {job_id} could not be "
-                        f"answered within the retry budget: {exc}"
-                    ) from exc
-                self._failover(str(exc))
+                self._failover(exc)
                 continue
             self._pending.popleft()
             if self._pool is not None:
@@ -1290,14 +1358,17 @@ class ReplicatedTcpShardTransport:
     def swap(self, bundle_dir, expected_bundle_id: str | None = None) -> dict:
         """Hot-swap **every** replica's bundle; blocks for all SWAP acks.
 
-        Replicas are interchangeable only while they serve the same bundle,
-        so the swap must land on all of them -- a failover after a partial
-        swap would silently change the answers.  Any replica that cannot be
-        reached or rejects the candidate fails the whole swap with a
-        per-replica breakdown; the caller decides whether to retry or roll
-        back (replicas that did swap keep serving the new bundle, which is
-        safe only because the caller pins ``expected_bundle_id`` and retries
-        or rolls back explicitly).
+        Called at the service's drain barrier, when this FIFO transport has
+        nothing in flight -- enforced here, because a swap roundtrip racing
+        request replies would desynchronize the job-id FIFO.  Replicas are
+        interchangeable only while they serve the same bundle, so the swap
+        must land on all of them -- a failover after a partial swap would
+        silently change the answers.  Any replica that cannot be reached or
+        rejects the candidate fails the whole swap with a per-replica
+        breakdown; the caller decides whether to retry or roll back
+        (replicas that did swap keep serving the new bundle, which is safe
+        only because the caller pins ``expected_bundle_id`` and retries or
+        rolls back explicitly).
         """
         if self._closed:
             raise RuntimeError(
@@ -1398,23 +1469,19 @@ def spawn_server(
     host: str = "127.0.0.1",
     port: int = 0,
     start_method: str | None = None,
-    server_main=None,
 ) -> ServerProcessHandle:
     """Run a :class:`ReadoutServer` in a daemonic child process.
 
     Blocks until the child has bound its socket and reports the address (or
     failed to load the bundle).  The bench and the loopback smoke tests use
-    this so server and client do not share a GIL.  ``server_main`` swaps in
-    a different (picklable, module-level) child entry point with the same
-    signature -- how :func:`repro.service.aio.spawn_async_server` reuses
-    this plumbing.
+    this so server and client do not share a GIL.
     """
     import multiprocessing
 
     context = multiprocessing.get_context(start_method)
     parent_pipe, child_pipe = context.Pipe()
     process = context.Process(
-        target=_server_process_main if server_main is None else server_main,
+        target=_server_process_main,
         args=(str(bundle_dir), host, int(port), child_pipe),
         name="readout-server",
         daemon=True,

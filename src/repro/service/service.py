@@ -14,8 +14,8 @@ linger), and dispatches each batch to one of three placements:
   their qubit group through the same ``serve()`` path
   (:class:`~repro.service.transport.LocalProcessTransport`);
 * **remote shards** -- the same split across hosts (``shard_hosts=[...]``),
-  each group placed on a :class:`~repro.service.net.ReadoutServer` through a
-  :class:`~repro.service.net.TcpShardTransport`.
+  each group placed on one :class:`~repro.service.net.ReadoutServer` or a
+  list of replicas through a :class:`~repro.service.net.TcpShardTransport`.
 
 The batching layer never knows which: every placement is a
 :class:`~repro.service.transport.ShardTransport` speaking the one wire codec
@@ -209,10 +209,12 @@ class ReadoutService:
         ``bundle_dir`` and owning a contiguous qubit group.  Requests for
         more shards than available qubit groups are clamped with a warning.
     shard_hosts:
-        Remote placement: a list of ``"host:port"`` strings (or ``(host,
-        port)`` pairs) naming running :class:`~repro.service.net.ReadoutServer`\\ s
-        that have each loaded the same bundle.  One qubit group is placed
-        per host; micro-batching, backpressure, and stats work unchanged.
+        Remote placement: one entry per qubit group, each a ``"host:port"``
+        string, a ``(host, port)`` pair, or a list of such replica
+        addresses, naming running :class:`~repro.service.net.ReadoutServer`\\ s
+        that have each loaded the same bundle.  Every group is placed on one
+        :class:`~repro.service.net.TcpShardTransport`; micro-batching,
+        backpressure, and stats work unchanged.
     shard_groups:
         Explicit qubit groups (one list per shard) overriding the balanced
         partition derived from the manifest's shard-layout hints.  Empty
@@ -240,22 +242,14 @@ class ReadoutService:
     remote_timeout / connect_timeout:
         Per-request and connection deadlines (seconds) for ``shard_hosts``
         placements.
-    pipelined:
-        Place remote shards over the asyncio transport
-        (:class:`~repro.service.aio.AsyncTcpShardTransport`): every
-        sub-request is tagged and all of them ride one multiplexed
-        connection per shard concurrently, so a micro-batch split across
-        shards (or queued behind another) pipelines on the wire instead of
-        serializing round trips.  Requires ``shard_hosts`` and is exclusive
-        with the replicated transport (retries, probes, replica lists) --
-        pipelined placements fail fast and the answers stay bit-identical.
     retry:
         A :class:`~repro.service.retry.RetryPolicy` enabling self-healing:
-        replicated TCP shards fail over under it, and dead local workers
+        TCP shards fail over across their replicas under it (a frame
+        reaches servers at most ``attempts`` times), and dead local workers
         are respawned and their in-flight micro-batch re-dispatched within
-        its attempt budget.  ``None`` keeps the pre-resilience behavior for
-        single-address placements (failures surface immediately) while
-        replica lists in ``shard_hosts`` still get a default policy.
+        the same attempt budget.  ``None`` makes single-address placements
+        fail fast (the first failure surfaces), while replica lists in
+        ``shard_hosts`` still get a default policy.
     degraded_ok:
         Opt in to partial answers: when every replica of a shard stays down
         past the retry budget, requests resolve with the healthy shards'
@@ -324,7 +318,6 @@ class ReadoutService:
         start_method: str | None = None,
         remote_timeout: float = 30.0,
         connect_timeout: float = 5.0,
-        pipelined: bool = False,
         retry: RetryPolicy | None = None,
         degraded_ok: bool = False,
         probe_interval_s: float = 0.0,
@@ -377,7 +370,7 @@ class ReadoutService:
         self._bundle_dir = None if bundle_dir is None else Path(bundle_dir)
         self.shard_hosts = list(shard_hosts) if shard_hosts else None
         #: Replica addresses per shard (``shard_hosts`` normalized), and
-        #: whether the deployment opted into the resilient TCP transport:
+        #: whether the deployment opted into TCP failover and a host pool:
         #: explicitly (a retry policy, a probe interval) or implicitly (any
         #: shard listing more than one replica).
         self.shard_replicas = (
@@ -468,21 +461,6 @@ class ReadoutService:
                 self.shard_hosts = self.shard_hosts[: self.n_shards]
                 self.shard_replicas = self.shard_replicas[: self.n_shards]
         self._mode = mode
-        self._pipelined = bool(pipelined)
-        if self._pipelined:
-            if mode != "tcp":
-                raise ValueError(
-                    "pipelined=True places shards over remote TCP; pass "
-                    "shard_hosts (it has no effect on in-process or local "
-                    "worker serving)"
-                )
-            if self._replicated:
-                raise ValueError(
-                    "pipelined=True is exclusive with the replicated "
-                    "transport (retry policies, health probes, replica "
-                    "lists): pipelining rides one multiplexed connection "
-                    "per shard and fails fast instead of failing over"
-                )
         self.shard_groups = shard_groups
         self._shards: list[ShardTransport] = []
 
@@ -502,7 +480,7 @@ class ReadoutService:
         # immutable snapshot and writers cannot interleave read-modify-write.
         self._stats_lock = threading.Lock()
         self._stats = ServiceStats(
-            transport="aio" if self._pipelined else mode,
+            transport=mode,
             placements=self.n_shards,
             backend=self._backend_kind,
             active_version=initial_version,
@@ -614,9 +592,8 @@ class ReadoutService:
 
     @property
     def transport_name(self) -> str:
-        """How dispatches travel: ``"inprocess"``, ``"local"``, ``"tcp"``,
-        or ``"aio"`` (pipelined remote placements)."""
-        return "aio" if self._pipelined else self._mode
+        """How dispatches travel: ``"inprocess"``, ``"local"``, or ``"tcp"``."""
+        return self._mode
 
     @property
     def stats(self) -> ServiceStats:
@@ -767,17 +744,8 @@ class ReadoutService:
                     start_method=self._start_method,
                 )
             elif self._mode == "tcp":
-                from repro.service.net import (
-                    ReplicatedTcpShardTransport,
-                    TcpShardTransport,
-                )
+                from repro.service.net import TcpShardTransport
 
-                if self._pipelined:
-                    from repro.service.aio import AsyncTcpShardTransport
-
-                    transport_cls = AsyncTcpShardTransport
-                else:
-                    transport_cls = TcpShardTransport
                 if self._replicated:
                     from repro.service.health import HostPool
 
@@ -791,34 +759,23 @@ class ReadoutService:
                     for index, (replicas, group) in enumerate(
                         zip(self.shard_replicas, self.shard_groups)
                     ):
-                        if self._replicated:
-                            shards.append(
-                                ReplicatedTcpShardTransport(
-                                    index,
-                                    group,
-                                    replicas,
-                                    timeout=self._remote_timeout,
-                                    connect_timeout=self._connect_timeout,
-                                    retry=self._retry,
-                                    pool=self._pool,
-                                    seed=(
-                                        None
-                                        if self._failover_seed is None
-                                        else self._failover_seed + index
-                                    ),
-                                    should_abort=self._closing.is_set,
-                                )
+                        shards.append(
+                            TcpShardTransport(
+                                index,
+                                group,
+                                replicas,
+                                timeout=self._remote_timeout,
+                                connect_timeout=self._connect_timeout,
+                                retry=self._retry if self._replicated else None,
+                                pool=self._pool,
+                                seed=(
+                                    None
+                                    if self._failover_seed is None
+                                    else self._failover_seed + index
+                                ),
+                                should_abort=self._closing.is_set,
                             )
-                        else:
-                            shards.append(
-                                transport_cls(
-                                    index,
-                                    group,
-                                    replicas[0],
-                                    timeout=self._remote_timeout,
-                                    connect_timeout=self._connect_timeout,
-                                )
-                            )
+                        )
                 except Exception:
                     for shard in shards:
                         shard.close()

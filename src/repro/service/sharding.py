@@ -9,36 +9,21 @@ request, because every column is computed by the same backend code on the
 same inputs.
 
 This module owns the *partitioning* question (which qubits live on which
-shard); *how* a sub-request reaches a shard is a transport concern --
-see :mod:`repro.service.transport` for the protocol and the local
+shard) and the shape of one ``shard_hosts`` placement entry; *how* a
+sub-request reaches a shard is a transport concern -- see
+:mod:`repro.service.transport` for the protocol and the local
 worker-process implementation, and :mod:`repro.service.net` for the TCP
-one.  The PR-4 names (``ShardHandle``, ``spawn_shards``) are kept as
-aliases of the transport layer so existing imports keep resolving -- note
-one behavioral change: ``collect()`` now returns a decoded
-:class:`~repro.engine.request.ReadoutResult` instead of the PR-4
-``(states, logits, elapsed)`` tuple.
+one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.service.transport import (  # noqa: F401  (back-compat re-exports)
-    SHM_THRESHOLD_BYTES,
-    LocalProcessTransport,
-    spawn_local_shards,
-)
-
 __all__ = [
     "partition_qubits",
     "replica_addresses",
-    "ShardHandle",
-    "spawn_shards",
 ]
-
-#: Back-compat aliases for the pre-transport (PR 4) names.
-ShardHandle = LocalProcessTransport
-spawn_shards = spawn_local_shards
 
 
 def replica_addresses(entry) -> list:

@@ -14,7 +14,8 @@ byte-for-byte the bytes a cross-host server would receive:
   the worker) instead of pipe pickling;
 * :class:`~repro.service.net.TcpShardTransport` -- the same sub-requests
   framed onto a TCP socket towards a remote
-  :class:`~repro.service.net.ReadoutServer`.
+  :class:`~repro.service.net.ReadoutServer` (one address, or a list of
+  replicas it fails over between).
 
 Both are FIFO per shard: the front-end is the only producer/consumer and the
 worker serves in order, so ``collect`` returns responses in submission
@@ -261,7 +262,7 @@ def _shard_worker_main(
 class LocalProcessTransport:
     """One worker process on this host, driven through a queue pair.
 
-    The PR-4 ``ShardHandle`` refactored onto the wire codec: the submit path
+    The worker-process shard protocol on the wire codec: the submit path
     encodes the sub-request once, ships the frame inline or through a
     shared-memory segment (:data:`SHM_THRESHOLD_BYTES`), and the collect path
     decodes the worker's result/error frame -- bit-identical to in-process

@@ -13,7 +13,7 @@ properties over randomly drawn interleavings:
 
 They run against the real client-side components -- the
 :class:`~repro.service.aio.PipelineDemux` registry and the zero-copy
-:class:`~repro.service.aio.FrameAssembler` -- driven directly, with no
+:class:`~repro.service.net.FrameAssembler` -- driven directly, with no
 sockets, so hypothesis can shrink failures to minimal interleavings.
 """
 
@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.engine import wire
 from repro.engine.request import ReadoutRequest, ReadoutResult
-from repro.service.aio import FrameAssembler, PipelineDemux
+from repro.service.aio import PipelineDemux
+from repro.service.net import FrameAssembler
 
 
 def _request_for(tag: int, n_shots: int) -> ReadoutRequest:

@@ -1,13 +1,11 @@
-"""Tests for the asyncio serving tier: server, multiplexed client, pipelined
-shard placement.
+"""Tests for the event-loop readout server and the multiplexed client.
 
-The acceptance criterion mirrors the threaded tier's: every async path --
-``AsyncReadoutServer`` behind an ``AsyncRemoteEngineClient``, a pipelined
-``ReadoutService`` placement over ``AsyncTcpShardTransport``, and both
-cross-tier interop directions -- is **bit-identical** to direct
-``ReadoutEngine.serve()`` and pinned against the golden fixed-point
-snapshot, with trace ids and stage histograms intact through the event
-loop.
+The acceptance criterion mirrors the blocking client's: the
+``ReadoutServer`` behind an ``AsyncRemoteEngineClient`` -- pipelined or
+one request at a time -- and behind the blocking ``RemoteEngineClient`` is
+**bit-identical** to direct ``ReadoutEngine.serve()`` and pinned against
+the golden fixed-point snapshot, with trace ids and stage histograms intact
+through the event loop.
 """
 
 from __future__ import annotations
@@ -25,11 +23,8 @@ from make_golden import CASES, GOLDEN_PATH, build_parameters, build_traces
 from repro.engine import FixedPointBackend, ReadoutEngine, ReadoutRequest
 from repro.engine import wire
 from repro.service import (
-    AsyncReadoutServer,
     AsyncRemoteEngineClient,
-    AsyncTcpShardTransport,
     ReadoutServer,
-    ReadoutService,
     RemoteEngineClient,
     TransportConnectError,
     TransportError,
@@ -38,7 +33,7 @@ from repro.service import (
     run_open_loop,
     run_soak,
 )
-from repro.service.aio import FrameAssembler
+from repro.service.net import FrameAssembler
 
 #: Reserved port nothing listens on (see tests/service/test_net.py).
 DEAD_ADDRESS = ("127.0.0.1", 1)
@@ -46,8 +41,8 @@ DEAD_ADDRESS = ("127.0.0.1", 1)
 
 @pytest.fixture(scope="module")
 def server(service_bundle):
-    """A loopback AsyncReadoutServer (in this process) serving the bundle."""
-    with AsyncReadoutServer(service_bundle) as server:
+    """A loopback ReadoutServer (in this process) serving the bundle."""
+    with ReadoutServer(service_bundle) as server:
         yield server
 
 
@@ -92,7 +87,7 @@ class TestAsyncLoopbackServing:
         bundle = tmp_path / "golden-bundle"
         engine.save(bundle)
         traces = build_traces()[:, np.newaxis]
-        with AsyncReadoutServer(bundle) as server:
+        with ReadoutServer(bundle) as server:
             host, port = server.address
             with AsyncRemoteEngineClient(host, port) as client:
                 result = client.serve(
@@ -102,8 +97,9 @@ class TestAsyncLoopbackServing:
         assert np.array_equal(result.logits[:, 0], expected)
 
     def test_result_meta_labels_the_async_transport(self, client, service_traces):
+        # One server, one label: the multiplexed client rides TCP too.
         result = client.serve(ReadoutRequest(traces=service_traces[:16]))
-        assert result.meta["transport"] == "aio"
+        assert result.meta["transport"] == "tcp"
 
     def test_trace_id_minted_and_echoed(self, client, service_traces):
         result = client.serve(ReadoutRequest(traces=service_traces[:8]))
@@ -121,7 +117,7 @@ class TestAsyncLoopbackServing:
         snapshot = server.metrics()
         assert snapshot["stages"]["compute"]["count"] == before + 1
         assert snapshot["stages"]["handle"]["count"] >= before + 1
-        assert snapshot["source"] == "async-readout-server"
+        assert snapshot["source"] == "readout-server"
 
     def test_remote_errors_reraise_typed(self, client, service_traces):
         # Wrong qubit subset -> the shared formatter's IndexError, remotely.
@@ -135,7 +131,7 @@ class TestAsyncLoopbackServing:
         assert info["n_qubits"] == 3
         assert info["backend"] == "fpga"
         metrics = client.metrics()
-        assert metrics["source"] == "async-readout-server"
+        assert metrics["source"] == "readout-server"
         assert metrics["connections_open"] >= 1
         assert metrics["connections_accepted"] >= 1
 
@@ -248,26 +244,11 @@ class TestPipelining:
 
 
 class TestInterop:
-    def test_async_client_against_threaded_server(
-        self, service_bundle, service_engine, service_traces
-    ):
-        """The threaded server echoes the tag, so the multiplexed client's
-        FIFO-ordered replies still demux correctly."""
-        request = ReadoutRequest(traces=service_traces[:32], output="both")
-        direct = service_engine.serve(request)
-        with ReadoutServer(service_bundle) as threaded:
-            host, port = threaded.address
-            with AsyncRemoteEngineClient(host, port, timeout=60.0) as client:
-                for result in client.serve_many([request] * 4, max_inflight=4):
-                    assert np.array_equal(result.states, direct.states)
-                    assert np.array_equal(result.logits, direct.logits)
-                assert client.info()["n_qubits"] == 3
-
     def test_threaded_client_against_async_server(
         self, server, service_engine, service_traces
     ):
-        """Untagged requests ride the async server's FIFO chain, so the
-        threaded client works against it unchanged."""
+        """Untagged requests ride the server's FIFO chain, so the blocking
+        client works against it unchanged."""
         request = ReadoutRequest(traces=service_traces[:32], output="both")
         direct = service_engine.serve(request)
         host, port = server.address
@@ -290,7 +271,7 @@ class TestTransportErrors:
     ):
         request = ReadoutRequest(traces=service_traces[:8])
         direct = service_engine.serve(request)
-        server = AsyncReadoutServer(service_bundle).start()
+        server = ReadoutServer(service_bundle).start()
         host, port = server.address
         client = AsyncRemoteEngineClient(host, port, timeout=60.0)
         try:
@@ -299,9 +280,7 @@ class TestTransportErrors:
             with pytest.raises((TransportError, TransportTimeoutError)):
                 client.serve(request)
             # The next call redials instead of staying wedged.
-            server2 = AsyncReadoutServer(
-                service_bundle, host=host, port=port
-            ).start()
+            server2 = ReadoutServer(service_bundle, host=host, port=port).start()
             try:
                 assert np.array_equal(
                     client.serve(request).states, direct.states
@@ -316,88 +295,6 @@ class TestTransportErrors:
     def test_serve_rejects_non_request(self, client):
         with pytest.raises(TypeError, match="ReadoutRequest"):
             client.serve(np.zeros((1, 1, 4)))
-
-
-class TestAsyncShardTransport:
-    def test_pipelined_placement_bit_identical(
-        self, server, service_engine, service_traces, service_carriers, service_bundle
-    ):
-        host, port = server.address
-        address = f"{host}:{port}"
-        service = ReadoutService(
-            bundle_dir=service_bundle,
-            n_shards=2,
-            shard_hosts=[address, address],
-            pipelined=True,
-        )
-        service.start()
-        try:
-            assert service.transport_name == "aio"
-            for request in (
-                ReadoutRequest(traces=service_traces, output="both"),
-                ReadoutRequest(raw=service_carriers, output="both"),
-            ):
-                direct = service_engine.serve(request)
-                result = service.serve(request)
-                assert np.array_equal(result.states, direct.states)
-                assert np.array_equal(result.logits, direct.logits)
-                assert result.meta["transport"] == "aio"
-            assert service.stats.transport == "aio"
-        finally:
-            service.close()
-
-    def test_trace_id_survives_the_pipelined_placement(
-        self, server, service_bundle, service_traces
-    ):
-        host, port = server.address
-        address = f"{host}:{port}"
-        service = ReadoutService(
-            bundle_dir=service_bundle,
-            n_shards=2,
-            shard_hosts=[address, address],
-            pipelined=True,
-        )
-        service.start()
-        try:
-            result = service.submit(
-                ReadoutRequest(traces=service_traces[:8]), trace_id="cafe" * 8
-            ).result(60.0)
-            assert result.meta["trace_id"] == "cafe" * 8
-        finally:
-            service.close()
-
-    def test_transport_protocol_edges(self, server, service_traces):
-        host, port = server.address
-        transport = AsyncTcpShardTransport(0, [0, 1, 2], f"{host}:{port}")
-        request = ReadoutRequest(traces=service_traces[:8])
-        try:
-            transport.submit(7, request)
-            with pytest.raises(RuntimeError, match="already has job 7"):
-                transport.submit(7, request)
-            result = transport.collect(7)
-            assert result.n_shots == 8
-            with pytest.raises(RuntimeError, match="no job 7"):
-                transport.collect(7)
-        finally:
-            transport.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            transport.submit(8, request)
-        assert not transport.is_alive()
-
-    def test_placement_failure_aborts_startup(self):
-        with pytest.raises(TransportConnectError):
-            AsyncTcpShardTransport(0, [0], DEAD_ADDRESS, connect_timeout=2.0)
-
-    def test_pipelined_requires_tcp_and_rejects_replicas(self, service_bundle):
-        with pytest.raises(ValueError, match="shard_hosts"):
-            ReadoutService(bundle_dir=service_bundle, pipelined=True)
-        with pytest.raises(ValueError, match="replicated"):
-            ReadoutService(
-                bundle_dir=service_bundle,
-                n_shards=1,
-                shard_hosts=[[("127.0.0.1", 1), ("127.0.0.1", 2)]],
-                pipelined=True,
-            )
 
 
 class TestLoadGenerator:
@@ -521,7 +418,7 @@ class TestHotSwapOverAsync:
         old.save(old_dir)
         new.save(new_dir)
         request = ReadoutRequest(traces=service_traces, output="logits")
-        with AsyncReadoutServer(old_dir) as server:
+        with ReadoutServer(old_dir) as server:
             host, port = server.address
             with AsyncRemoteEngineClient(host, port, timeout=60.0) as client:
                 pre = client.serve(request)

@@ -27,8 +27,8 @@ from repro.service import (
     ReadoutServer,
     ReadoutService,
     RemoteEngineClient,
-    ReplicatedTcpShardTransport,
     RetryPolicy,
+    TcpShardTransport,
     TransportConnectError,
     WorkerDiedError,
     spawn_server,
@@ -51,7 +51,7 @@ def chaos_server(service_bundle):
 
 def proxied_transport(proxy: ChaosProxy, retry: RetryPolicy = FAST_RETRY):
     """A single-replica transport dialing through ``proxy`` (seeded backoff)."""
-    return ReplicatedTcpShardTransport(
+    return TcpShardTransport(
         0, [0, 1, 2], [proxy.address], retry=retry, seed=11
     )
 
@@ -247,7 +247,7 @@ class TestFaultMatrix:
             chaos_server.address, schedule, stall_s=30.0
         ) as proxy:
             direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
-            transport = ReplicatedTcpShardTransport(
+            transport = TcpShardTransport(
                 0,
                 [0, 1, 2],
                 [proxy.address],
@@ -280,7 +280,7 @@ class TestFaultMatrix:
     ):
         """A replica that refuses from the start is skipped at construction."""
         direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
-        transport = ReplicatedTcpShardTransport(
+        transport = TcpShardTransport(
             0,
             [0, 1, 2],
             [("127.0.0.1", 1), chaos_server.address],  # port 1: refused
@@ -298,10 +298,29 @@ class TestFaultMatrix:
         host, port = chaos_server.address
         assert transport.address == f"{host}:{port}"
 
+    @pytest.mark.parametrize("attempts", [1, 2, 3])
+    def test_a_frame_reaches_servers_at_most_attempts_times(
+        self, chaos_server, service_carriers, attempts
+    ):
+        """``RetryPolicy.attempts`` counts total tries: with every reply
+        dropped, the upstream sees the frame exactly ``attempts`` times."""
+        with ChaosProxy(chaos_server.address, FaultSchedule(default="drop")) as proxy:
+            transport = proxied_transport(
+                proxy,
+                RetryPolicy(attempts=attempts, backoff_base_s=0.01, jitter_s=0.0),
+            )
+            try:
+                transport.submit(1, ReadoutRequest(raw=service_carriers[:2]))
+                with pytest.raises(AllReplicasDownError):
+                    transport.collect(1)
+            finally:
+                transport.close()
+            assert proxy.counters["dropped"] == attempts
+
     def test_every_replica_down_is_a_typed_bounded_failure(self):
         started = time.monotonic()
         with pytest.raises(TransportConnectError, match="replica"):
-            ReplicatedTcpShardTransport(
+            TcpShardTransport(
                 0,
                 [0],
                 [("127.0.0.1", 1), ("127.0.0.1", 1)],

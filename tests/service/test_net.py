@@ -1,14 +1,17 @@
 """Tests for the TCP serving tier: server, client, remote shard placement.
 
 The acceptance criterion: loopback TCP serving and
-``TcpShardTransport``-backed ``ReadoutService`` are **bit-identical** to
-direct ``ReadoutEngine.serve()`` and pinned against the golden fixed-point
+``TcpShardTransport``-backed ``ReadoutService`` -- single-address and
+replicated placements -- are **bit-identical** to direct
+``ReadoutEngine.serve()`` and pinned against the golden fixed-point
 snapshot -- the socket is a transport, never a datapath.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from make_golden import CASES, GOLDEN_PATH, build_parameters, build_traces
 from repro.engine import FixedPointBackend, ReadoutEngine, ReadoutRequest
 from repro.readout.preprocessing import digitize_traces
 from repro.service import (
+    ChaosTransport,
+    FaultSchedule,
     ReadoutServer,
     ReadoutService,
     RemoteEngineClient,
@@ -32,6 +37,44 @@ from repro.service import (
 #: fail fast with a refusal (connecting to a *freed ephemeral* port instead
 #: can self-connect on Linux and hang the test).
 DEAD_ADDRESS = ("127.0.0.1", 1)
+
+
+class InFlightProbe(ChaosTransport):
+    """A pass-through shard wrapper that records its peak frames in flight."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner, FaultSchedule())
+        self._count_lock = threading.Lock()
+        self.inflight = 0
+        self.peak = 0
+        self.frames = 0
+
+    def _enter(self) -> None:
+        with self._count_lock:
+            self.inflight += 1
+            self.frames += 1
+            self.peak = max(self.peak, self.inflight)
+
+    def _leave(self) -> None:
+        with self._count_lock:
+            self.inflight -= 1
+
+    def submit(self, job_id, request, wire_meta=None) -> None:
+        self._enter()
+        super().submit(job_id, request, wire_meta)
+
+    def collect(self, job_id):
+        try:
+            return super().collect(job_id)
+        finally:
+            self._leave()
+
+    def swap(self, bundle_dir, expected_bundle_id=None) -> dict:
+        self._enter()
+        try:
+            return self.inner.swap(bundle_dir, expected_bundle_id)
+        finally:
+            self._leave()
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +359,70 @@ class TestRemoteShardedService:
         finally:
             handle.close()
 
+    def test_no_shard_ever_has_two_frames_in_flight(
+        self, tmp_path, service_bundle, service_engine, service_carriers
+    ):
+        """The batcher thread is the only dispatcher and collects every shard
+        before its next dispatch, so a shard carries at most one frame at a
+        time -- through concurrent mixed-priority submitters and a hot swap
+        landing in the middle of them."""
+        swapped = tmp_path / "readout-v2"
+        shutil.copytree(service_bundle, swapped)
+        request = ReadoutRequest(raw=service_carriers[:4])
+        direct = service_engine.serve(request)
+        n_threads, per_thread = 4, 12
+        halfway = threading.Barrier(n_threads + 1, timeout=60.0)
+        futures: list = []
+        errors: list = []
+        with ReadoutServer(service_bundle) as first, ReadoutServer(
+            service_bundle
+        ) as second, ReadoutService(
+            bundle_dir=service_bundle,
+            shard_hosts=[first.address, second.address],
+            max_batch=4,
+            max_wait_ms=1.0,
+            remote_timeout=60.0,
+        ) as service:
+            probes = [InFlightProbe(shard) for shard in service._shards]
+            service._shards[:] = probes
+
+            def submitter(index: int) -> None:
+                try:
+                    for k in range(per_thread):
+                        if k == per_thread // 2:
+                            halfway.wait()
+                        priority = "feedback" if (index + k) % 3 == 0 else "bulk"
+                        futures.append(
+                            service.submit(
+                                ReadoutRequest(raw=request.raw, priority=priority)
+                            )
+                        )
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=submitter, args=(i,))
+                for i in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            halfway.wait()
+            service.swap_bundle(bundle_dir=swapped)
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+            results = [future.result(timeout=120.0) for future in futures]
+            stats = service.stats
+        assert errors == []
+        assert len(results) == n_threads * per_thread
+        for result in results:
+            np.testing.assert_array_equal(result.states, direct.states)
+        assert stats.bundle_swaps == 1
+        # Every shard saw every dispatch plus the swap, one frame at a time.
+        for probe in probes:
+            assert probe.frames >= stats.batches + 1
+            assert probe.peak == 1
+
     def test_engine_and_shard_hosts_are_mutually_exclusive(self, service_engine):
         with pytest.raises(ValueError, match="shard_hosts"):
             ReadoutService(engine=service_engine, shard_hosts=[DEAD_ADDRESS])
@@ -378,19 +485,26 @@ class TestGoldenThroughTcp:
         bundle = tmp_path / "golden-bundle"
         engine.save(bundle)
         carriers = digitize_traces(np.stack([build_traces()] * 2, axis=1))
+        request = ReadoutRequest(raw=carriers, output="logits")
         handle = spawn_server(bundle)
         try:
             with RemoteEngineClient(*handle.address, timeout=60.0) as client:
-                result = client.serve(
-                    ReadoutRequest(raw=carriers, output="logits")
-                )
+                result = client.serve(request)
             with ReadoutService(
                 shard_hosts=[handle.address, handle.address], remote_timeout=60.0
             ) as service:
-                sharded = service.serve(ReadoutRequest(raw=carriers, output="logits"))
+                sharded = service.serve(request)
+            with ReadoutServer(bundle) as replica, ReadoutService(
+                shard_hosts=[
+                    [handle.address, replica.address],
+                    [replica.address, handle.address],
+                ],
+                remote_timeout=60.0,
+            ) as service:
+                replicated = service.serve(request)
         finally:
             handle.close()
-        for logits in (result.logits, sharded.logits):
+        for logits in (result.logits, sharded.logits, replicated.logits):
             np.testing.assert_array_equal(logits[:, 0], expected)
             np.testing.assert_array_equal(logits[:, 1], expected)
         engine.close()

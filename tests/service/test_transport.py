@@ -15,7 +15,6 @@ import pytest
 from repro.engine import ReadoutRequest
 from repro.service.transport import (
     SHM_THRESHOLD_BYTES,
-    LocalProcessTransport,
     ShardTransport,
     _pack_frame,
     _unpack_frame,
@@ -39,13 +38,6 @@ class TestProtocolSurface:
         assert shard.qubits == [0, 1, 2]
         assert shard.qubit_set == frozenset({0, 1, 2})
         assert isinstance(shard, ShardTransport)
-
-    def test_transport_module_is_importable_from_legacy_names(self):
-        """PR-4 imports (ShardHandle, spawn_shards) keep resolving."""
-        from repro.service.sharding import ShardHandle, spawn_shards
-
-        assert ShardHandle is LocalProcessTransport
-        assert spawn_shards is spawn_local_shards
 
 
 class TestFramePacking:

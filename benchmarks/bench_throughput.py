@@ -10,8 +10,8 @@ Measures shots/second through
   between the two, and
 * the **raw-carrier serving path** -- the five-qubit ``ReadoutEngine``
   serving int32 ADC carriers digitized once at capture
-  (``discriminate_all_raw``) versus the float-trace surface that re-digitizes
-  inside every backend, bit-identity asserted first
+  (``serve(ReadoutRequest(raw=...))``) versus the float-trace surface that
+  re-digitizes inside every backend, bit-identity asserted first
   (``raw_vs_float_roundtrip``),
 * the **request-serving front-end** -- many small concurrent
   ``ReadoutRequest``\\ s through ``ReadoutService`` micro-batching
@@ -22,12 +22,6 @@ Measures shots/second through
   ``ReadoutServer``/``RemoteEngineClient`` round trip and a
   ``TcpShardTransport``-backed service (``remote_serving`` section:
   ``remote_tcp_vs_direct`` and friends), bit-identity asserted first,
-* the **multiplexed client** -- the stream again through an
-  ``AsyncRemoteEngineClient`` sequentially and pipelined over one
-  connection to a ``ReadoutServer`` (``remote_async_*`` measurements), with
-  closed-/open-loop p50/p95/p99 load-generator percentiles and a
-  1000-connection zero-drop soak in the derived section, bit-identity
-  asserted first,
 * the **resilience layer** -- one qubit shard on two replica servers,
   serving the same stream in steady state and through a seeded kill/recover
   cycle (``resilient_steady`` / ``resilient_killover`` plus p95 round-trip
@@ -401,8 +395,8 @@ def bench_engine(report: ThroughputReport, n_shots: int, repeats: int, seed: int
     """Multi-qubit serving: ReadoutEngine parallel vs. sequential fan-out.
 
     Builds the paper's five-qubit deployment (one fixed-point backend per
-    qubit, FNN-A/FNN-B assignment) and measures ``discriminate_all`` with the
-    per-qubit thread pool against the sequential fallback, asserting the two
+    qubit, FNN-A/FNN-B assignment) and measures states-only ``serve()`` with
+    the per-qubit thread pool against the sequential fallback, asserting the two
     are bit-identical first.  On a single-core container the ratio hovers
     around 1x (the threads just take turns); the measurement exists so
     multi-core hosts show the fan-out gain and CI pins both paths.
@@ -459,10 +453,10 @@ def bench_raw_serving(report: ThroughputReport, n_shots: int, repeats: int, seed
     The deployed datapath is handed integer ADC samples; our float-trace
     serving surface re-digitizes every request inside each backend.  This
     section digitizes the multiplexed batch *once* (the capture-side ADC
-    step, :func:`digitize_traces`) and serves the int32 carriers through
-    ``discriminate_all_raw``, against the same engine serving the original
-    float traces through ``discriminate_all`` -- after asserting the two
-    paths are bit-identical.  The ``raw_vs_float_roundtrip_batch*`` speedups
+    step, :func:`digitize_traces`) and serves the int32 carriers as a
+    ``raw=`` request, against the same engine serving the original float
+    traces as a ``traces=`` request -- after asserting the two paths are
+    bit-identical.  The ``raw_vs_float_roundtrip_batch*`` speedups
     are the measured cost of the skipped conversion per batch size, and the
     headline ``raw_vs_float_roundtrip`` is their geometric mean over the
     batch sizes >= 1024 (where the per-call overhead has amortized away).
@@ -768,182 +762,6 @@ def bench_remote_serving(
         f"  loopback TCP vs direct: {tcp_vs_direct:.2f}x; 2 TCP shards vs "
         f"direct: {tcp_shards_vs_direct:.2f}x (vs 2 local shards: "
         f"{tcp_shards_vs_local:.2f}x)"
-    )
-
-
-def bench_async_serving(
-    report: ThroughputReport, n_shots: int, repeats: int, seed: int
-) -> None:
-    """The multiplexed client: pipelined single-connection serving plus load bench.
-
-    The same 64-request stream as ``remote_serving`` is answered three ways
-    -- direct in-process ``engine.serve()`` (the baseline), an
-    ``AsyncRemoteEngineClient`` round-tripping one request at a time
-    (``remote_async_sequential``: what the transport costs with no
-    pipelining), and the same client with the whole stream in flight on one
-    socket (``remote_async_pipelined``, window 64) -- all asserted
-    bit-identical to direct dispatch first.
-
-    The point of the section is the pipelined-vs-sequential gap: with one
-    round trip per request the connection idles while the server computes,
-    with a full window the next requests are already crossing the wire.  On
-    the single-core CI container client and server still contend for the
-    one CPU, so ``remote_async_pipelined_vs_direct`` lands below 1.0 like
-    every remote number here (reported honestly); it must, however, beat
-    the blocking client's ``remote_tcp_vs_direct``, which is the regression
-    gate the derived ratios exist for.
-
-    The derived section also carries the load-generator percentiles
-    (:mod:`repro.service.loadgen`): a closed-loop saturation run (4
-    connections x 8 in flight, per-round-trip p50/p95/p99), an open-loop
-    run at half the measured closed-loop rate (latency measured from the
-    *scheduled* arrival, so backlog shows up in the tail instead of
-    stretching the schedule), and a 1000-connection soak asserted to finish
-    with zero drops.
-    """
-    import tempfile
-
-    from repro.service import (
-        AsyncRemoteEngineClient,
-        run_closed_loop,
-        run_open_loop,
-        run_soak,
-        spawn_server,
-    )
-
-    n_samples = 500
-    n_qubits = len(ENGINE_ASSIGNMENT)
-    n_requests = 64
-    request_shots = 8
-    engine = build_bench_engine(n_samples, seed)
-    rng = np.random.default_rng(seed + 5)
-    traces = rng.uniform(
-        -3.0, 3.0, size=(n_requests * request_shots, n_qubits, n_samples, 2)
-    )
-    carriers = digitize_traces(traces)
-    requests = [
-        ReadoutRequest(raw=carriers[start : start + request_shots], output="states")
-        for start in range(0, carriers.shape[0], request_shots)
-    ]
-    items = n_requests * request_shots * n_qubits
-
-    def direct_dispatch() -> np.ndarray:
-        return np.concatenate([engine.serve(request).states for request in requests])
-
-    reference = direct_dispatch()
-    with tempfile.TemporaryDirectory() as tmp:
-        bundle_dir = Path(tmp) / "bench-bundle"
-        engine.save(bundle_dir)
-        server = spawn_server(bundle_dir)
-        try:
-            client = AsyncRemoteEngineClient(server.address, timeout=300.0)
-
-            def sequential_dispatch() -> np.ndarray:
-                return np.concatenate(
-                    [client.serve(request).states for request in requests]
-                )
-
-            def pipelined_dispatch() -> np.ndarray:
-                results = client.serve_many(requests, max_inflight=n_requests)
-                return np.concatenate([result.states for result in results])
-
-            for label, produced in (
-                ("async sequential client", sequential_dispatch()),
-                ("async pipelined client", pipelined_dispatch()),
-            ):
-                if not np.array_equal(produced, reference):
-                    raise AssertionError(
-                        f"{label} serving is not bit-identical to direct "
-                        "engine.serve() dispatch"
-                    )
-            print(
-                "  async client (seq + pipelined) == direct on "
-                f"{n_requests} requests x {request_shots} shots x {n_qubits} "
-                "qubits OK"
-            )
-            measured = measure_paired(
-                {
-                    "remote_async_direct_serve": (direct_dispatch, items),
-                    "remote_async_sequential": (sequential_dispatch, items),
-                    "remote_async_pipelined": (pipelined_dispatch, items),
-                },
-                repeats=repeats,
-            )
-            client.close()
-
-            # ---- latency-percentile load bench against the server.
-            probe = requests[0]
-            closed = run_closed_loop(
-                server.address,
-                probe,
-                connections=4,
-                inflight=8,
-                requests_per_connection=50,
-                timeout=300.0,
-            )
-            open_rate = max(50.0, 0.5 * closed.throughput_rps)
-            opened = run_open_loop(
-                server.address,
-                probe,
-                rate_rps=open_rate,
-                n_requests=300,
-                connections=8,
-                timeout=300.0,
-            )
-            soak = run_soak(
-                server.address,
-                probe,
-                connections=1000,
-                timeout=300.0,
-                connect_timeout=120.0,
-            )
-        finally:
-            server.close()
-    for loop_report in (closed, opened, soak):
-        if loop_report.drops:
-            raise AssertionError(
-                f"{loop_report.mode} load run dropped "
-                f"{loop_report.drops}/{loop_report.requests} requests"
-            )
-    if soak.completed != soak.requests:
-        raise AssertionError(
-            f"soak answered {soak.completed}/{soak.requests} requests"
-        )
-    for measurement in measured.values():
-        report.add(measurement)
-    pipelined_vs_direct = report.record_speedup(
-        "remote_async_pipelined_vs_direct",
-        "remote_async_pipelined",
-        "remote_async_direct_serve",
-    )
-    sequential_vs_direct = report.record_speedup(
-        "remote_async_sequential_vs_direct",
-        "remote_async_sequential",
-        "remote_async_direct_serve",
-    )
-    pipelining_gain = report.record_speedup(
-        "remote_async_pipelined_vs_sequential",
-        "remote_async_pipelined",
-        "remote_async_sequential",
-    )
-    for prefix, loop_report in (
-        ("remote_async_closed", closed),
-        ("remote_async_open", opened),
-    ):
-        for key in ("p50_ms", "p95_ms", "p99_ms"):
-            report.derived[f"{prefix}_{key}"] = float(loop_report.latency[key])
-    report.derived["remote_async_closed_rps"] = float(closed.throughput_rps)
-    report.derived["remote_async_open_target_rps"] = float(open_rate)
-    report.derived["remote_async_soak_connections"] = float(soak.connections)
-    report.derived["remote_async_soak_drops"] = float(soak.drops)
-    print(
-        f"  pipelined vs direct: {pipelined_vs_direct:.2f}x (sequential: "
-        f"{sequential_vs_direct:.2f}x; pipelining gain: "
-        f"{pipelining_gain:.2f}x); closed-loop p99 "
-        f"{closed.latency['p99_ms']:.1f} ms at {closed.throughput_rps:,.0f} "
-        f"rps; open-loop p99 {opened.latency['p99_ms']:.1f} ms at "
-        f"{open_rate:,.0f} rps; soak {soak.connections} connections, "
-        f"{soak.drops} drops"
     )
 
 
@@ -1344,8 +1162,6 @@ def main(argv: list[str] | None = None) -> int:
     bench_service(report, n_shots, repeats, args.seed)
     print("Remote serving (loopback TCP vs direct serve vs local shards):")
     bench_remote_serving(report, n_shots, repeats, args.seed)
-    print("Multiplexed client (pipelined requests + latency-percentile load bench):")
-    bench_async_serving(report, n_shots, repeats, args.seed)
     print("Resilient serving (replicated TCP shard, seeded kill/recover cycle):")
     bench_resilient_serving(report, n_shots, repeats, args.seed)
     print("Telemetry overhead + SLO admission under overload:")

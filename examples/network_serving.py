@@ -30,11 +30,6 @@ bundle out of the staging area, canary it against the baseline, promote
 it, and hot-swap back under queued load -- zero dropped requests and
 bit-identity on both sides of the swap barrier.
 
-The run closes with the multiplexed client: an ``AsyncRemoteEngineClient``
-pipelines the whole request stream over one connection to the same kind of
-``ReadoutServer`` (bit-identical again), and the load generator reports
-closed-loop p50/p95/p99 latencies plus a 500-connection zero-drop soak.
-
 CI runs this as its loopback network-serving smoke: any failure exits with
 code 5, which CI downgrades to a warning like the other non-blocking
 gates.  Run it with::
@@ -311,71 +306,6 @@ def run_lifecycle() -> None:
     engine_v2.close()
 
 
-def run_async() -> None:
-    """The multiplexed client: pipelined serving plus a mini load run."""
-    from repro.service import AsyncRemoteEngineClient, run_closed_loop, run_soak
-
-    n_qubits, n_shots = 5, 96
-    engine = ReadoutEngine(
-        [FixedPointBackend(synthetic_parameters(seed=71 + q)) for q in range(n_qubits)]
-    )
-    rng = np.random.default_rng(17)
-    carriers = digitize_traces(
-        rng.uniform(-3.0, 3.0, size=(n_shots, n_qubits, 120, 2))
-    )
-    chunk = 8
-    requests = [
-        ReadoutRequest(raw=carriers[i : i + chunk], output="both")
-        for i in range(0, n_shots, chunk)
-    ]
-    direct = [engine.serve(request) for request in requests]
-
-    with tempfile.TemporaryDirectory() as tmp:
-        bundle = Path(tmp) / "readout-v1"
-        engine.save(bundle)
-        print("\nStarting a ReadoutServer process on 127.0.0.1 ...")
-        server = spawn_server(bundle)
-        try:
-            host = "%s:%d" % server.address
-            print(f"Server up at {host}")
-
-            # --- One multiplexed connection, the whole stream in flight ----
-            with AsyncRemoteEngineClient(host, timeout=60.0) as client:
-                piped = client.serve_many(requests, max_inflight=len(requests))
-                for result, reference in zip(piped, direct):
-                    assert np.array_equal(result.states, reference.states), \
-                        "pipelined states diverged"
-                    assert np.array_equal(result.logits, reference.logits), \
-                        "pipelined logits diverged"
-                print(f"AsyncRemoteEngineClient pipelined {len(requests)} tagged "
-                      "requests over one socket: bit-identical to direct serve()")
-
-            # --- A miniature latency-percentile load run -------------------
-            closed = run_closed_loop(
-                server.address, requests[0],
-                connections=4, inflight=8, requests_per_connection=25,
-                timeout=60.0,
-            )
-            assert closed.drops == 0, "closed-loop load run dropped requests"
-            latency = closed.latency
-            print(f"Closed-loop load (4 conns x 8 in flight): "
-                  f"{closed.throughput_rps:,.0f} rps, p50 "
-                  f"{latency['p50_ms']:.1f} ms, p95 {latency['p95_ms']:.1f} ms, "
-                  f"p99 {latency['p99_ms']:.1f} ms")
-            soak = run_soak(
-                server.address, requests[0],
-                connections=500, timeout=120.0, connect_timeout=60.0,
-            )
-            assert soak.drops == 0, "connection soak dropped requests"
-            assert soak.completed == soak.requests, "soak left requests unanswered"
-            print(f"Soak: {soak.connections} concurrent connections, "
-                  f"{soak.completed} requests, {soak.drops} drops. "
-                  "Multiplexed serving OK.")
-        finally:
-            server.close()
-    engine.close()
-
-
 def main() -> int:
     import traceback
 
@@ -383,7 +313,6 @@ def main() -> int:
         run()
         run_failover()
         run_lifecycle()
-        run_async()
     except Exception:  # noqa: BLE001 - the smoke gate wants one exit code
         traceback.print_exc()
         return SMOKE_FAILURE_EXIT_CODE

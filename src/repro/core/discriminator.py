@@ -237,8 +237,7 @@ class KlinqReadout:
         if not 0 <= qubit_index < self.n_qubits:
             raise IndexError(f"qubit_index {qubit_index} out of range")
         if self.is_trained:
-            # The request path's single-qubit adapter (not the deprecated
-            # discriminate shim, which only adds a DeprecationWarning).
+            # The request path's single-qubit adapter.
             return self._engine()._serve_single_qubit(traces, qubit_index)
         # Partially trained system: single-qubit readout only needs this
         # qubit's student (the mid-circuit independence property), so don't

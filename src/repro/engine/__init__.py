@@ -15,9 +15,7 @@ everything downstream of training talks to:
 * :mod:`repro.engine.engine` -- :class:`ReadoutEngine`, one backend per
   qubit with :meth:`~ReadoutEngine.serve` as the single dispatch path
   (validate once, route float vs. raw, fan selected qubits out across a
-  thread pool with a bit-identical sequential fallback).  The legacy
-  ``discriminate*``/``predict_logits*`` methods survive as deprecated shims
-  over ``serve()``.
+  thread pool with a bit-identical sequential fallback).
 * :mod:`repro.engine.bundle` -- persisted artifact bundles
   (``manifest.json`` + per-qubit student and quantized-parameter files with
   SHA-256 checksums and shard-layout hints) so a trained system deploys as

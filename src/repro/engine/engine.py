@@ -15,13 +15,10 @@ object with three jobs:
   (:data:`repro.fpga.emulator._BATCH_CHUNK`), so per-qubit threads genuinely
   overlap on multi-core hosts.  Qubits are independent, so the parallel and
   sequential paths are bit-identical; a sequential fallback is always
-  available (``parallel=False``, or automatically on single-core hosts).
-  The legacy entry points (``discriminate``/``predict_logits`` x single/all
-  x float/raw) are kept as thin shims that build the equivalent request --
-  new code should speak :meth:`serve` directly;
-* **independent readout** -- a request with ``qubits=(q,)`` (or the
-  :meth:`discriminate` shim) reads any single qubit at any time (the
-  mid-circuit capability), never touching the other backends;
+  available (``parallel=False``, or automatically on single-core hosts);
+* **independent readout** -- a request with ``qubits=(q,)`` reads any
+  single qubit at any time (the mid-circuit capability), never touching the
+  other backends;
 * **persistence** -- :meth:`save` / :meth:`load` turn the engine into a
   deployable artifact directory (see :mod:`repro.engine.bundle`) instead of
   a live Python object.  :class:`repro.service.ReadoutService` builds on the
@@ -34,7 +31,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -269,24 +265,7 @@ class ReadoutEngine:
             meta={"backend": self.backend_kind},
         )
 
-    # --------------------------------------------------------------- legacy API
-    #
-    # The eight original entry points -- discriminate/predict_logits x
-    # single/all x float/raw -- are kept as thin shims over serve().  They are
-    # **deprecated in favour of serve()**: they add no behaviour, exist so
-    # trained deployments keep working verbatim, and are pinned bit-identical
-    # to the request path by tests/engine/test_serve_api.py.  Each emits a
-    # DeprecationWarning; the test suite turns those into errors outside the
-    # legacy-shim tests so no new code path sneaks back onto the old API.
-
-    @staticmethod
-    def _warn_deprecated(method: str, replacement: str) -> None:
-        warnings.warn(
-            f"ReadoutEngine.{method}() is deprecated; {replacement}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
+    # ------------------------------------------------------------- adapters
     def _serve_single_qubit(
         self,
         traces: np.ndarray,
@@ -299,9 +278,8 @@ class ReadoutEngine:
         """Single-qubit serving with the bare-trace convention.
 
         The one adapter from the "this qubit's batch (or single trace)"
-        signature onto the request path, shared by the deprecated shims and
-        by :meth:`KlinqReadout.discriminate` (which is not deprecated and
-        must not route through a warning shim).
+        signature onto the request path, behind
+        :meth:`KlinqReadout.discriminate`.
         """
         def run(batch: np.ndarray) -> np.ndarray:
             kwargs = dict(qubits=(qubit_index,), output=output)
@@ -316,196 +294,6 @@ class ReadoutEngine:
             return columns[:, 0]
 
         return serve_traces(run, traces)
-
-    def discriminate(self, traces: np.ndarray, qubit_index: int) -> np.ndarray:
-        """Independent (mid-circuit capable) readout of a single qubit.
-
-        ``traces`` is this qubit's batch ``(n_shots, n_samples, 2)`` or a
-        single ``(n_samples, 2)`` trace; only that qubit's backend runs.
-
-        .. deprecated:: use ``serve(ReadoutRequest(traces=batch[:, None],
-           qubits=(qubit_index,)))`` -- this shim only adapts the single-qubit
-           trace convention onto the request path.
-        """
-        self._warn_deprecated(
-            "discriminate",
-            "serve a ReadoutRequest(traces=batch[:, None], qubits=(q,)) instead",
-        )
-        return self._serve_single_qubit(traces, qubit_index, output="states")
-
-    def predict_logits(self, traces: np.ndarray, qubit_index: int) -> np.ndarray:
-        """Float logits of a single qubit's backend for its trace batch.
-
-        .. deprecated:: use :meth:`serve` with ``qubits=(qubit_index,)`` and
-           ``output="logits"``.
-        """
-        self._warn_deprecated(
-            "predict_logits",
-            "serve a ReadoutRequest(traces=batch[:, None], qubits=(q,), "
-            "output='logits') instead",
-        )
-        return self._serve_single_qubit(traces, qubit_index, output="logits")
-
-    def discriminate_all(
-        self, traces: np.ndarray, parallel: bool | None = None
-    ) -> np.ndarray:
-        """Read out every qubit of a batch of multiplexed shots.
-
-        ``traces`` has shape ``(n_shots, n_qubits, n_samples, 2)``; the result
-        is ``(n_shots, n_qubits)`` of assigned states.
-
-        .. deprecated:: use ``serve(ReadoutRequest(traces=traces)).states``.
-        """
-        self._warn_deprecated(
-            "discriminate_all", "use serve(ReadoutRequest(traces=traces)).states"
-        )
-        return self.serve(
-            ReadoutRequest(traces=traces, output="states"), parallel=parallel
-        ).states
-
-    def predict_logits_all(
-        self, traces: np.ndarray, parallel: bool | None = None
-    ) -> np.ndarray:
-        """Float logits of every qubit for a multiplexed batch.
-
-        .. deprecated:: use ``serve(ReadoutRequest(traces=traces,
-           output="logits")).logits``.
-        """
-        self._warn_deprecated(
-            "predict_logits_all",
-            "use serve(ReadoutRequest(traces=traces, output='logits')).logits",
-        )
-        return self.serve(
-            ReadoutRequest(traces=traces, output="logits"), parallel=parallel
-        ).logits
-
-    def discriminate_raw(
-        self,
-        trace_raw: np.ndarray,
-        qubit_index: int,
-        dequantize: bool = False,
-        fmt: FixedPointFormat | None = None,
-    ) -> np.ndarray:
-        """Independent single-qubit readout from raw integer carriers.
-
-        ``trace_raw`` is this qubit's digitized batch ``(n_shots, n_samples,
-        2)`` or a single ``(n_samples, 2)`` trace of int32/int64 ADC samples.
-        Backends without raw support raise unless ``dequantize`` explicitly
-        opts into the float fallback (see :meth:`serve`).
-
-        .. deprecated:: use :meth:`serve` with ``raw=`` and
-           ``qubits=(qubit_index,)``.
-        """
-        self._warn_deprecated(
-            "discriminate_raw",
-            "serve a ReadoutRequest(raw=batch[:, None], qubits=(q,)) instead",
-        )
-        return self._serve_single_qubit(
-            trace_raw,
-            qubit_index,
-            output="states",
-            raw=True,
-            dequantize=dequantize,
-            fmt=fmt,
-        )
-
-    def predict_logits_from_raw(
-        self,
-        trace_raw: np.ndarray,
-        qubit_index: int,
-        dequantize: bool = False,
-        fmt: FixedPointFormat | None = None,
-    ) -> np.ndarray:
-        """Float logits of a single qubit's backend from raw integer carriers.
-
-        Named ``*_from_raw`` to match the backend-level entry point it fans
-        into -- ``FixedPointBackend.predict_logits_raw`` is a *different*
-        operation (float traces in, raw integer logits out).
-
-        .. deprecated:: use :meth:`serve` with ``raw=``,
-           ``qubits=(qubit_index,)`` and ``output="logits"``.
-        """
-        self._warn_deprecated(
-            "predict_logits_from_raw",
-            "serve a ReadoutRequest(raw=batch[:, None], qubits=(q,), "
-            "output='logits') instead",
-        )
-        return self._serve_single_qubit(
-            trace_raw,
-            qubit_index,
-            output="logits",
-            raw=True,
-            dequantize=dequantize,
-            fmt=fmt,
-        )
-
-    def discriminate_all_raw(
-        self,
-        traces_raw: np.ndarray,
-        parallel: bool | None = None,
-        dequantize: bool = False,
-        fmt: FixedPointFormat | None = None,
-    ) -> np.ndarray:
-        """Read out every qubit of a multiplexed batch of raw integer carriers.
-
-        ``traces_raw`` has shape ``(n_shots, n_qubits, n_samples, 2)`` with an
-        int32/int64 dtype (the ADC output); the result is ``(n_shots,
-        n_qubits)`` of assigned states, bit-identical to
-        :meth:`discriminate_all` on the float traces the carriers were
-        digitized from when every backend is raw-capable.
-
-        Backends without raw support (``supports_raw`` False, e.g. the float
-        student datapath) make the call fail loudly instead of silently
-        mis-serving integer samples as floats.  Passing ``dequantize=True``
-        opts those backends into an explicit float fallback that converts the
-        carriers back to real values through ``fmt`` first (when ``fmt`` is
-        omitted it defaults to the format the engine's raw-capable backends
-        consume, so a mixed engine dequantizes consistently with its fpga
-        columns; Q16.16 if there are none); raw-capable backends keep their
-        integer-only path either way.
-
-        .. deprecated:: use ``serve(ReadoutRequest(raw=traces_raw,
-           dequantize=..., fmt=...)).states``.
-        """
-        self._warn_deprecated(
-            "discriminate_all_raw",
-            "use serve(ReadoutRequest(raw=traces_raw, ...)).states",
-        )
-        return self.serve(
-            ReadoutRequest(
-                raw=traces_raw, output="states", dequantize=dequantize, fmt=fmt
-            ),
-            parallel=parallel,
-        ).states
-
-    def predict_logits_all_raw(
-        self,
-        traces_raw: np.ndarray,
-        parallel: bool | None = None,
-        dequantize: bool = False,
-        fmt: FixedPointFormat | None = None,
-    ) -> np.ndarray:
-        """Float logits of every qubit for a multiplexed raw-carrier batch.
-
-        Same capability semantics as :meth:`discriminate_all_raw`; the result
-        is ``(n_shots, n_qubits)`` of float logits, bit-identical to
-        :meth:`predict_logits_all` on the originating float traces for
-        raw-capable (fpga) backends.
-
-        .. deprecated:: use ``serve(ReadoutRequest(raw=traces_raw,
-           output="logits", dequantize=..., fmt=...)).logits``.
-        """
-        self._warn_deprecated(
-            "predict_logits_all_raw",
-            "use serve(ReadoutRequest(raw=traces_raw, output='logits', "
-            "...)).logits",
-        )
-        return self.serve(
-            ReadoutRequest(
-                raw=traces_raw, output="logits", dequantize=dequantize, fmt=fmt
-            ),
-            parallel=parallel,
-        ).logits
 
     # ----------------------------------------------------------------- helpers
     def _resolve_qubits(self, qubits: tuple[int, ...] | None) -> list[int]:

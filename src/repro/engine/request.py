@@ -23,9 +23,9 @@ through :class:`repro.service.ReadoutService`, which micro-batches and
 shards requests without changing their meaning.
 
 This module is also the **single error-message path** for carrier
-validation: every serving surface (the engine's legacy shims, ``serve()``
-itself, the service front-end) raises shape and dtype errors built by the
-helpers below, so a single-qubit batch and a multiplexed batch always report
+validation: every serving surface (``serve()`` itself, the engine's
+single-qubit adapter, the service front-end) raises shape and dtype errors
+built by the helpers below, so a single-qubit batch and a multiplexed batch always report
 the expected vs. actual shape in the same format.
 """
 

@@ -28,12 +28,25 @@ ERROR frame carrying the exception type and arguments; :func:`decode_error`
 rebuilds the same exception type with the same message (the shared
 formatters in :mod:`repro.engine.request` produce those messages, so a
 remote shape error reads identically to a local one).
+
+A connection answers its frames strictly in order, so replies carry no
+transport envelope: the reply to the n-th request is the n-th reply.
+Request frames keep a transport ``meta`` header key (idempotent
+``request_id``, trace ids) that :func:`decode_request_wire_meta` reads.
+
+Every ``decode_*`` treats its input as hostile: a frame that is not
+well-formed -- bad prefix, a header that is not a UTF-8 JSON object,
+missing or mistyped header fields, array declarations that do not use up
+the payload exactly -- raises :class:`WireFormatError`, chained from the
+original exception where there is one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from typing import Callable
 
 import numpy as np
 
@@ -77,7 +90,6 @@ __all__ = [
     "encode_swap",
     "decode_swap",
     "frame_kind",
-    "frame_wire_meta",
     "decode_reply",
     "read_frame",
     "write_frame",
@@ -193,13 +205,6 @@ def _array_spec(array: np.ndarray) -> dict:
     return {"dtype": array.dtype.str, "shape": list(array.shape)}
 
 
-def _spec_nbytes(spec: dict) -> int:
-    count = 1
-    for dim in spec["shape"]:
-        count *= int(dim)
-    return np.dtype(spec["dtype"]).itemsize * count
-
-
 def _frame_chunks(
     kind: int, header: dict, payloads: tuple[np.ndarray, ...] = ()
 ) -> list:
@@ -223,9 +228,8 @@ def _assemble(kind: int, header: dict, payloads: tuple[np.ndarray, ...] = ()) ->
     return b"".join(_frame_chunks(kind, header, payloads))
 
 
-def _split(frame, expected_kind: int | None = None) -> tuple[int, dict, memoryview]:
-    """Validate the prefix and return ``(kind, header, payload view)``."""
-    view = memoryview(frame)
+def _unpack_prefix(view: memoryview) -> tuple[int, int]:
+    """Validate a whole frame's prefix against its length; ``(kind, header_len)``."""
     if len(view) < _PREFIX.size:
         raise WireFormatError(
             f"Wire frame truncated: {len(view)} bytes is shorter than the "
@@ -247,37 +251,37 @@ def _split(frame, expected_kind: int | None = None) -> tuple[int, dict, memoryvi
             f"Wire frame length mismatch: prefix declares {total} bytes, "
             f"got {len(view)}"
         )
+    return kind, header_len
+
+
+def _split(frame, expected_kind: int | None = None) -> tuple[int, dict, memoryview]:
+    """Validate the prefix and return ``(kind, header, payload view)``."""
+    view = memoryview(frame)
+    kind, header_len = _unpack_prefix(view)
     if expected_kind is not None and kind != expected_kind:
         raise WireFormatError(
             f"Expected wire frame kind {expected_kind}, got {kind}"
         )
+    header_end = _PREFIX.size + header_len
     try:
-        header = json.loads(bytes(view[_PREFIX.size : _PREFIX.size + header_len]))
-    except json.JSONDecodeError as exc:
-        raise WireFormatError(f"Wire frame header is not valid JSON: {exc}") from None
-    return kind, header, view[_PREFIX.size + header_len :]
+        header = json.loads(bytes(view[_PREFIX.size : header_end]).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise WireFormatError(
+            f"Wire frame header is not UTF-8 JSON: {exc}"
+        ) from exc
+    if not isinstance(header, dict):
+        raise WireFormatError(
+            f"Wire frame header must be a JSON object, got {type(header).__name__}"
+        )
+    return kind, header, view[header_end:]
 
 
 def frame_kind(frame) -> int:
-    """The kind byte of a frame (validating magic and version first)."""
-    return _split(frame)[0]
+    """The kind byte of a frame (validating magic, version and length first).
 
-
-def frame_wire_meta(frame) -> dict:
-    """The transport envelope of *any* frame kind (``{}`` when absent).
-
-    REQUEST frames keep their historical ``meta`` header key (written by
-    :func:`encode_request`); every reply kind carries its envelope under
-    ``envelope`` (written by the optional ``wire_meta`` parameter of the
-    reply encoders).  This is how the pipelined network tier routes
-    interleaved replies: a peer tags each request with an additive ``seq``
-    and matches the echo here without decoding the full frame body.
-    Decoders that predate the envelope ignore the extra key, so -- like the
-    envelope itself -- this needs no wire-version bump.
+    Only the prefix is read; the header is left to the kind's decoder.
     """
-    kind, header, _ = _split(frame)
-    meta = header.get("meta") if kind == REQUEST else header.get("envelope")
-    return dict(meta) if meta else {}
+    return _unpack_prefix(memoryview(frame))[0]
 
 
 def _read_array(spec: dict | None, payload: memoryview, offset: int, copy: bool = False):
@@ -290,18 +294,76 @@ def _read_array(spec: dict | None, payload: memoryview, offset: int, copy: bool 
     """
     if spec is None:
         return None, offset
-    nbytes = _spec_nbytes(spec)
+    shape = spec["shape"]
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise WireFormatError(
+            f"Wire array shape must be a list of non-negative integers, got {shape!r}"
+        )
+    dtype = np.dtype(spec["dtype"])
+    nbytes = dtype.itemsize * math.prod(shape)
     if offset + nbytes > len(payload):
         raise WireFormatError(
             f"Wire frame payload truncated: array needs {nbytes} bytes at "
             f"offset {offset}, payload holds {len(payload)}"
         )
-    array = np.frombuffer(
-        payload[offset : offset + nbytes], dtype=np.dtype(spec["dtype"])
-    ).reshape(spec["shape"])
+    array = np.frombuffer(payload[offset : offset + nbytes], dtype=dtype).reshape(
+        shape
+    )
     if copy:
         array = array.copy()
     return array, offset + nbytes
+
+
+#: What a malformed header makes the field readers raise: missing keys,
+#: wrongly typed values, dtype strings NumPy cannot parse (some raise
+#: ``SyntaxError``), and the request/result constructors' own validation.
+_HEADER_ERRORS = (
+    KeyError,
+    IndexError,
+    TypeError,
+    ValueError,
+    AttributeError,
+    SyntaxError,
+    OverflowError,
+)
+
+
+def _decode(
+    frame,
+    kind: int,
+    build: Callable,
+    array_keys: tuple[str, ...] = (),
+    copy: bool = False,
+):
+    """Split a ``kind`` frame and ``build`` its value from the header fields.
+
+    ``array_keys`` name the header specs of the payload arrays, in payload
+    order; together they must use up the payload exactly, so header-only
+    kinds carry an empty one.  ``build(header, *arrays)`` makes the value.
+    Whatever a malformed header makes either step raise surfaces as a
+    :class:`WireFormatError` chained from the original exception.
+    """
+    _, header, payload = _split(frame, expected_kind=kind)
+    try:
+        arrays, offset = [], 0
+        for key in array_keys:
+            array, offset = _read_array(header[key], payload, offset, copy)
+            arrays.append(array)
+        if offset != len(payload):
+            raise WireFormatError(
+                f"Wire frame payload holds {len(payload)} bytes but its header "
+                f"declares {offset}"
+            )
+        return build(header, *arrays)
+    except WireFormatError:
+        raise
+    except _HEADER_ERRORS as exc:
+        raise WireFormatError(
+            f"Malformed wire frame header (kind {kind}): "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _encode_fmt(fmt: FixedPointFormat | None) -> dict | None:
@@ -365,14 +427,7 @@ def encode_request(request: ReadoutRequest, wire_meta: dict | None = None) -> by
     return b"".join(encode_request_chunks(request, wire_meta))
 
 
-def decode_request(frame) -> ReadoutRequest:
-    """Rebuild the :class:`ReadoutRequest` encoded in ``frame``.
-
-    The carried array is a read-only zero-copy view into the frame buffer;
-    dtype and shape are restored exactly.
-    """
-    _, header, payload = _split(frame, expected_kind=REQUEST)
-    array, _ = _read_array(header["array"], payload, 0)
+def _build_request(header: dict, array: np.ndarray) -> ReadoutRequest:
     qubits = header["qubits"]
     kwargs = dict(
         qubits=None if qubits is None else tuple(qubits),
@@ -388,6 +443,15 @@ def decode_request(frame) -> ReadoutRequest:
     return ReadoutRequest(traces=array, **kwargs)
 
 
+def decode_request(frame) -> ReadoutRequest:
+    """Rebuild the :class:`ReadoutRequest` encoded in ``frame``.
+
+    The carried array is a read-only zero-copy view into the frame buffer;
+    dtype and shape are restored exactly.
+    """
+    return _decode(frame, REQUEST, _build_request, ("array",))
+
+
 def decode_request_wire_meta(frame) -> dict:
     """The transport envelope of a REQUEST frame (``{}`` when absent).
 
@@ -395,9 +459,12 @@ def decode_request_wire_meta(frame) -> dict:
     already answered the id can replay its cached reply instead of serving
     the retried request twice.
     """
-    _, header, _ = _split(frame, expected_kind=REQUEST)
-    meta = header.get("meta")
-    return dict(meta) if meta else {}
+    return _decode(
+        frame,
+        REQUEST,
+        lambda header, _array: dict(header.get("meta") or {}),
+        ("array",),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -405,21 +472,12 @@ def decode_request_wire_meta(frame) -> dict:
 # --------------------------------------------------------------------------
 
 
-def encode_result_chunks(
-    result: ReadoutResult, wire_meta: dict | None = None
-) -> list:
+def encode_result_chunks(result: ReadoutResult) -> list:
     """A result frame as buffers (prefix, header, arrays) -- see :func:`_frame_chunks`.
 
-    The scatter form the async reply path writes with ``writelines``: the
+    The scatter form the server's reply path writes chunk by chunk: the
     state/logit columns cross the socket boundary as memoryviews of the
     result arrays, never flattened into an intermediate ``bytes``.
-
-    ``wire_meta`` is the reply-side transport envelope (header key
-    ``envelope``): the pipelining ``seq`` echo travels here, outside the
-    result proper, so :func:`decode_result` rebuilds an identical result
-    whether or not the reply was tagged.  Read back with
-    :func:`frame_wire_meta`; pre-envelope decoders ignore the extra key
-    (no version bump).
     """
     if not isinstance(result, ReadoutResult):
         raise TypeError(
@@ -439,27 +497,15 @@ def encode_result_chunks(
         "states": None if result.states is None else _array_spec(result.states),
         "logits": None if result.logits is None else _array_spec(result.logits),
     }
-    if wire_meta:
-        header["envelope"] = dict(wire_meta)
     return _frame_chunks(RESULT, header, arrays)
 
 
-def encode_result(result: ReadoutResult, wire_meta: dict | None = None) -> bytes:
+def encode_result(result: ReadoutResult) -> bytes:
     """Encode a :class:`ReadoutResult` as one self-contained frame."""
-    return b"".join(encode_result_chunks(result, wire_meta))
+    return b"".join(encode_result_chunks(result))
 
 
-def decode_result(frame) -> ReadoutResult:
-    """Rebuild the :class:`ReadoutResult` encoded in ``frame``.
-
-    Result arrays are **copied** out of the frame: a result is what callers
-    keep and mutate (local ``engine.serve`` results are writable, remote
-    ones must behave the same), and the per-qubit columns are small next to
-    the carrier batches, so the copy is cheap where it matters.
-    """
-    _, header, payload = _split(frame, expected_kind=RESULT)
-    states, offset = _read_array(header["states"], payload, 0, copy=True)
-    logits, _ = _read_array(header["logits"], payload, offset, copy=True)
+def _build_result(header: dict, states, logits) -> ReadoutResult:
     return ReadoutResult(
         qubits=tuple(header["qubits"]),
         output=header["output"],
@@ -471,41 +517,34 @@ def decode_result(frame) -> ReadoutResult:
     )
 
 
+def decode_result(frame) -> ReadoutResult:
+    """Rebuild the :class:`ReadoutResult` encoded in ``frame``.
+
+    Result arrays are **copied** out of the frame: a result is what callers
+    keep and mutate (local ``engine.serve`` results are writable, remote
+    ones must behave the same), and the per-qubit columns are small next to
+    the carrier batches, so the copy is cheap where it matters.
+    """
+    return _decode(frame, RESULT, _build_result, ("states", "logits"), copy=True)
+
+
 # --------------------------------------------------------------------------
 # Error frames
 # --------------------------------------------------------------------------
 
 
-def encode_error(exc: BaseException, wire_meta: dict | None = None) -> bytes:
-    """Encode an exception so the peer re-raises the same type and message.
-
-    ``wire_meta`` is the reply envelope (see :func:`encode_result_chunks`):
-    a pipelined server echoes the failing request's ``seq`` here so the
-    error lands on exactly the in-flight future that caused it.
-    """
+def encode_error(exc: BaseException) -> bytes:
+    """Encode an exception so the peer re-raises the same type and message."""
     args = list(exc.args)
     if not all(isinstance(arg, (str, int, float, bool, type(None))) for arg in args):
         # Exotic argument payloads are not worth shipping; the text is.
         args = None
-    header = {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "args": args,
-    }
-    if wire_meta:
-        header["envelope"] = dict(wire_meta)
-    return _assemble(ERROR, header)
+    return _assemble(
+        ERROR, {"type": type(exc).__name__, "message": str(exc), "args": args}
+    )
 
 
-def decode_error(frame) -> BaseException:
-    """Rebuild the exception an ERROR frame describes (without raising it).
-
-    Known types come back as themselves with their original arguments, so a
-    remote ``ValueError`` from the shared shape formatters is
-    indistinguishable from a local one; unknown types degrade to
-    :class:`RemoteServingError` carrying the original type name and text.
-    """
-    _, header, _ = _split(frame, expected_kind=ERROR)
+def _build_error(header: dict) -> BaseException:
     cls = _EXCEPTION_TYPES.get(header["type"])
     if cls is not None and header["args"] is not None:
         try:
@@ -517,33 +556,35 @@ def decode_error(frame) -> BaseException:
     return RemoteServingError(f"{header['type']}: {header['message']}")
 
 
+def decode_error(frame) -> BaseException:
+    """Rebuild the exception an ERROR frame describes (without raising it).
+
+    Known types come back as themselves with their original arguments, so a
+    remote ``ValueError`` from the shared shape formatters is
+    indistinguishable from a local one; unknown types degrade to
+    :class:`RemoteServingError` carrying the original type name and text.
+    """
+    return _decode(frame, ERROR, _build_error)
+
+
 # --------------------------------------------------------------------------
 # Info frames (deployment metadata, e.g. for remote shard placement)
 # --------------------------------------------------------------------------
 
 
-def _control_header(wire_meta: dict | None) -> dict:
-    """Header for a payload-free control request, with its optional envelope."""
-    return {"envelope": dict(wire_meta)} if wire_meta else {}
-
-
-def encode_info_request(wire_meta: dict | None = None) -> bytes:
+def encode_info_request() -> bytes:
     """A header-only frame asking a server to describe its deployment."""
-    return _assemble(INFO_REQUEST, _control_header(wire_meta))
+    return _assemble(INFO_REQUEST, {})
 
 
-def encode_info(info: dict, wire_meta: dict | None = None) -> bytes:
+def encode_info(info: dict) -> bytes:
     """Encode a deployment-description dict (JSON-serializable values only)."""
-    header: dict = {"info": info}
-    if wire_meta:
-        header["envelope"] = dict(wire_meta)
-    return _assemble(INFO, header)
+    return _assemble(INFO, {"info": info})
 
 
 def decode_info(frame) -> dict:
     """The deployment-description dict carried by an INFO frame."""
-    _, header, _ = _split(frame, expected_kind=INFO)
-    return dict(header["info"])
+    return _decode(frame, INFO, lambda header: dict(header["info"]))
 
 
 # --------------------------------------------------------------------------
@@ -551,26 +592,21 @@ def decode_info(frame) -> dict:
 # --------------------------------------------------------------------------
 
 
-def encode_metrics_request(wire_meta: dict | None = None) -> bytes:
+def encode_metrics_request() -> bytes:
     """A header-only frame asking a server for its live metrics snapshot."""
-    return _assemble(METRICS_REQUEST, _control_header(wire_meta))
+    return _assemble(METRICS_REQUEST, {})
 
 
-def encode_metrics(metrics: dict, wire_meta: dict | None = None) -> bytes:
+def encode_metrics(metrics: dict) -> bytes:
     """Encode a metrics snapshot (JSON-serializable values only)."""
-    header: dict = {"metrics": metrics}
-    if wire_meta:
-        header["envelope"] = dict(wire_meta)
-    return _assemble(METRICS, header)
+    return _assemble(METRICS, {"metrics": metrics})
 
 
 def decode_metrics(frame) -> dict:
     """The metrics snapshot carried by a METRICS frame (ERROR frames re-raise)."""
-    kind = frame_kind(frame)
-    if kind == ERROR:
+    if frame_kind(frame) == ERROR:
         raise decode_error(frame)
-    _, header, _ = _split(frame, expected_kind=METRICS)
-    return dict(header["metrics"])
+    return _decode(frame, METRICS, lambda header: dict(header["metrics"]))
 
 
 # --------------------------------------------------------------------------
@@ -578,7 +614,7 @@ def decode_metrics(frame) -> dict:
 # --------------------------------------------------------------------------
 
 
-def encode_swap_request(spec: dict, wire_meta: dict | None = None) -> bytes:
+def encode_swap_request(spec: dict) -> bytes:
     """Ask a server to hot-swap to a new bundle.
 
     ``spec`` is JSON-serializable swap instructions: ``bundle_dir`` (a path
@@ -587,23 +623,17 @@ def encode_swap_request(spec: dict, wire_meta: dict | None = None) -> bytes:
     server must adopt (a mismatched staging copy fails the swap instead of
     silently serving the wrong model).
     """
-    header = _control_header(wire_meta)
-    header["swap"] = dict(spec)
-    return _assemble(SWAP_REQUEST, header)
+    return _assemble(SWAP_REQUEST, {"swap": dict(spec)})
 
 
 def decode_swap_request(frame) -> dict:
     """The swap instructions carried by a SWAP_REQUEST frame."""
-    _, header, _ = _split(frame, expected_kind=SWAP_REQUEST)
-    return dict(header["swap"])
+    return _decode(frame, SWAP_REQUEST, lambda header: dict(header["swap"]))
 
 
-def encode_swap(info: dict, wire_meta: dict | None = None) -> bytes:
+def encode_swap(info: dict) -> bytes:
     """Acknowledge a completed swap (the adopted deployment's identity)."""
-    header: dict = {"swap": dict(info)}
-    if wire_meta:
-        header["envelope"] = dict(wire_meta)
-    return _assemble(SWAP, header)
+    return _assemble(SWAP, {"swap": dict(info)})
 
 
 def decode_swap(frame) -> dict:
@@ -613,11 +643,9 @@ def decode_swap(frame) -> dict:
     serving its old engine, and the caller sees the original exception type
     exactly as :func:`decode_metrics` surfaces metrics failures.
     """
-    kind = frame_kind(frame)
-    if kind == ERROR:
+    if frame_kind(frame) == ERROR:
         raise decode_error(frame)
-    _, header, _ = _split(frame, expected_kind=SWAP)
-    return dict(header["swap"])
+    return _decode(frame, SWAP, lambda header: dict(header["swap"]))
 
 
 # --------------------------------------------------------------------------

@@ -84,17 +84,6 @@ GUARDED_BY: dict[str, dict[str, dict[str, str]]] = {
             "_swaps": "_swap_lock",
         },
     },
-    "src/repro/service/aio.py": {
-        "PipelineDemux": {
-            "_pending": "_lock",
-            "_late_replies": "_lock",
-        },
-        "AsyncRemoteEngineClient": {
-            "_loop": "_lifecycle_lock",
-            "_thread": "_lifecycle_lock",
-            "_conn": "_lifecycle_lock",
-        },
-    },
     "src/repro/service/health.py": {
         "HostPool": {"_hosts": "_lock", "_counters": "_lock"},
     },

@@ -10,9 +10,8 @@ side still treats it as "unknown frame":
   dispatched in the serving core's request handler (a ``wire.<KIND>``
   reference inside :data:`SERVER_HANDLER` -- the server answers through
   it);
-- every *reply* kind must be decodable by **each** client tier --
-  ``RemoteEngineClient`` and the pipelining ``AsyncRemoteEngineClient``
-  (:data:`EXTRA_CLIENTS`): some ``wire.decode_*`` function the client
+- every *reply* kind must be decodable by the client
+  (:data:`CLIENT_CLASS`): some ``wire.decode_*`` function the client
   actually calls must reference it;
 - duplicate kind values are flagged (two constants with one value cannot be
   told apart on the wire).
@@ -36,7 +35,6 @@ __all__ = [
     "WIRE_MODULE",
     "SERVER_HANDLER",
     "CLIENT_CLASS",
-    "EXTRA_CLIENTS",
 ]
 
 RULE = "wire-unhandled-frame"
@@ -51,13 +49,6 @@ SERVER_HANDLER = ("ServingCore", "reply_chunks_for")
 
 #: The client whose called decoders define "decodable".
 CLIENT_CLASS = "RemoteEngineClient"
-
-#: Further ``(module, class)`` client tiers that must each cover every
-#: reply kind (a frame only the blocking client can decode is still
-#: half-handled).
-EXTRA_CLIENTS: tuple[tuple[str, str], ...] = (
-    ("src/repro/service/aio.py", "AsyncRemoteEngineClient"),
-)
 
 #: ALL-CAPS ints in wire.py that are not frame kinds.
 NON_KIND_CONSTANTS = frozenset({"WIRE_VERSION", "MAX_FRAME_BYTES"})
@@ -115,14 +106,12 @@ class WireChecker:
         server_handler: tuple[str, str] = SERVER_HANDLER,
         client_class: str = CLIENT_CLASS,
         non_kind_constants: frozenset[str] = NON_KIND_CONSTANTS,
-        extra_clients: tuple[tuple[str, str], ...] = EXTRA_CLIENTS,
     ) -> None:
         self.wire_module = wire_module
         self.net_module = net_module
         self.server_handler = server_handler
         self.client_class = client_class
         self.non_kind_constants = non_kind_constants
-        self.extra_clients = extra_clients
 
     def run(self, project: Project) -> list[Finding]:
         wire = project.get(self.wire_module)
@@ -211,45 +200,15 @@ class WireChecker:
                     )
                 )
 
-        # ---- client side: every reply kind covered by a called decoder,
-        # for every client tier (blocking and multiplexed alike).
+        # ---- client side: every reply kind covered by a called decoder.
         decoder_kinds: dict[str, set[str]] = {}
         for qualname, node in iter_functions(wire.tree):
             if qualname.startswith("decode_") or qualname == "frame_kind":
                 decoder_kinds[qualname] = _wire_names_used(node, set(kinds))
-        findings.extend(
-            self._check_client(
-                net.tree, self.net_module, self.client_class,
-                decoder_kinds, reply_kinds, kinds,
-            )
-        )
-        for module_path, client_class in self.extra_clients:
-            module = project.get(module_path)
-            if module is None:
-                # Fixture runs never carry the real extra tiers; like a
-                # missing wire/net module, absence disables the check.
-                continue
-            findings.extend(
-                self._check_client(
-                    module.tree, module_path, client_class,
-                    decoder_kinds, reply_kinds, kinds,
-                )
-            )
-        return findings
-
-    def _check_client(
-        self,
-        tree: ast.Module,
-        module_path: str,
-        client_class: str,
-        decoder_kinds: dict[str, set[str]],
-        reply_kinds: set[str],
-        kinds: dict[str, tuple[int, int]],
-    ) -> list[Finding]:
-        findings: list[Finding] = []
+        client_class = self.client_class
         client_methods = [
             node
-            for qualname, node in iter_functions(tree)
+            for qualname, node in iter_functions(net.tree)
             if qualname.startswith(f"{client_class}.")
         ]
         called_decoders: set[str] = set()
@@ -269,7 +228,7 @@ class WireChecker:
             findings.append(
                 Finding(
                     rule=RULE,
-                    path=module_path,
+                    path=self.net_module,
                     line=1,
                     col=0,
                     message=(

@@ -31,10 +31,9 @@ or a list of replicas) -- all speaking the one wire codec
 See :mod:`repro.service.service` for the batching/dispatch mechanics,
 :mod:`repro.service.transport` for the shard-transport protocol and the
 local worker-process implementation, :mod:`repro.service.net` for the TCP
-tier (the one asyncio server, the blocking client, and the shard transport
-with replica failover), :mod:`repro.service.aio` for the multiplexed client
-that pipelines tagged requests over one socket, :mod:`repro.service.retry`
-/ :mod:`repro.service.health` for the retry policy and health-checked host
+tier (the one asyncio server, the one client, and the shard transport
+with replica failover), :mod:`repro.service.retry` /
+:mod:`repro.service.health` for the retry policy and health-checked host
 pool, :mod:`repro.service.faults` for the fault-injection harness that
 keeps the self-healing paths honest, :mod:`repro.service.lifecycle` for
 the zero-downtime model lifecycle -- the versioned
@@ -74,7 +73,6 @@ from repro.service.telemetry import (
     LatencyHistogram,
     TelemetryRecorder,
     new_trace_id,
-    summarize_latencies,
 )
 from repro.service.transport import (
     LocalProcessTransport,
@@ -91,13 +89,6 @@ from repro.service.net import (
     TransportError,
     TransportTimeoutError,
     spawn_server,
-)
-from repro.service.aio import AsyncRemoteEngineClient
-from repro.service.loadgen import (
-    LoadgenReport,
-    run_closed_loop,
-    run_open_loop,
-    run_soak,
 )
 from repro.service.faults import (
     ChaosProxy,
@@ -136,12 +127,6 @@ __all__ = [
     "TransportConnectError",
     "TransportTimeoutError",
     "spawn_server",
-    "summarize_latencies",
-    "AsyncRemoteEngineClient",
-    "LoadgenReport",
-    "run_closed_loop",
-    "run_open_loop",
-    "run_soak",
     "ChaosProxy",
     "ChaosTransport",
     "FaultSchedule",

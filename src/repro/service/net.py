@@ -8,18 +8,15 @@ socket:
   requests through :meth:`~repro.engine.engine.ReadoutEngine.serve` from
   one asyncio event loop that multiplexes every connection, with engine
   work on a small thread-pool executor and graceful drain on shutdown.
-  Untagged requests are answered strictly in order per connection; requests
-  tagged with a ``seq`` in the frame envelope are served concurrently and
-  answered in completion order.  Also answers INFO frames with the
-  deployment description (qubit count, backend kind, shard-layout hints) so
-  a remote front-end can plan shard placement without a local bundle copy.
+  Each connection's frames are answered strictly in order.  Also answers
+  INFO frames with the deployment description (qubit count, backend kind,
+  shard-layout hints) so a remote front-end can plan shard placement
+  without a local bundle copy.
 * :class:`RemoteEngineClient` -- the blocking caller: one reused
   connection, configurable connect/request timeouts, typed transport errors
   (:class:`TransportError` and friends) for network failures, while *remote
   serving* failures re-raise with the same exception types and messages as
-  local serving (the codec ships them as structured error frames).  The
-  multiplexed twin that pipelines tagged requests over one socket is
-  :class:`~repro.service.aio.AsyncRemoteEngineClient`.
+  local serving (the codec ships them as structured error frames).
 * :class:`TcpShardTransport` -- a :class:`~repro.service.transport.ShardTransport`
   over such connections, so ``ReadoutService(shard_hosts=[...])`` places
   its qubit shards on remote :class:`ReadoutServer`\\ s -- one address or a
@@ -73,6 +70,20 @@ __all__ = [
 #: event loop never blocks on compute.
 _EXECUTOR_WORKERS = 4
 
+#: Listen backlog of the server socket.
+_BACKLOG = 512
+
+#: How long :meth:`ReadoutServer.close` waits for in-flight requests to
+#: finish before closing their connections.
+_DRAIN_TIMEOUT_S = 10.0
+
+#: How many recent replies the server keeps, keyed by the idempotent
+#: ``request_id`` retrying clients stamp into wire meta.  A retried request
+#: whose first attempt *was* answered (the reply died with the connection)
+#: replays the cached frame instead of being served twice -- the server half
+#: of idempotent failover.
+_REPLY_CACHE_SIZE = 256
+
 
 class TransportError(RuntimeError):
     """A network-level serving failure (connection lost, peer gone).
@@ -116,7 +127,7 @@ def _parse_address(address, port: int | None = None) -> tuple[str, int]:
 
 
 # --------------------------------------------------------------------------
-# Zero-copy frame reassembly (server and multiplexed client)
+# Zero-copy frame reassembly
 # --------------------------------------------------------------------------
 
 
@@ -211,9 +222,8 @@ class ServingCore:
     :meth:`reply_chunks_for` returns each reply as a list of buffers
     (prefix, header, then each result array) so the server puts the bulk
     arrays on the socket without flattening them into an intermediate
-    ``bytes``.  Every reply echoes the request envelope's pipelining
-    ``seq`` tag (when present), which is how interleaved replies find their
-    in-flight future on a multiplexing client.
+    ``bytes``.  Telemetry is always on: per-request engine-compute and
+    request-handling latency histograms, served through the METRICS frame.
 
     Thread safety: :meth:`reply_chunks_for` runs on the server's executor
     threads.  The engine reference and deployment info flip together under
@@ -223,16 +233,9 @@ class ServingCore:
     """
 
     def __init__(
-        self,
-        bundle_dir: str | Path,
-        *,
-        parallel: bool | None = None,
-        max_workers: int | None = None,
-        reply_cache_size: int = 256,
-        telemetry: bool = True,
+        self, bundle_dir: str | Path, *, max_workers: int | None = None
     ) -> None:
         self.bundle_dir = Path(bundle_dir)
-        self._parallel = parallel
         self._max_workers = max_workers
         # The engine reference, deployment info, and swap counter flip
         # together under one lock (SWAP_REQUEST handling); request handlers
@@ -247,16 +250,13 @@ class ServingCore:
         # Handlers run on many threads; the counters need a lock or
         # concurrent clients under-count them.
         self._served_lock = threading.Lock()
-        self._reply_cache_size = int(reply_cache_size)
         self._reply_cache: collections.OrderedDict[str, bytes] = (
             collections.OrderedDict()
         )
         self._cache_lock = threading.Lock()
         #: ``compute`` is the engine's own serve time; ``handle`` is the
         #: whole decode-serve-encode round inside the handler.
-        self._telemetry = TelemetryRecorder(
-            enabled=bool(telemetry), stages=("compute", "handle")
-        )
+        self._telemetry = TelemetryRecorder(stages=("compute", "handle"))
         self._connections_open = 0
         self._connections_accepted = 0
 
@@ -351,12 +351,10 @@ class ServingCore:
         return reply
 
     def _cache_reply(self, request_id: str, reply: bytes) -> None:
-        if self._reply_cache_size <= 0:
-            return
         with self._cache_lock:
             self._reply_cache[request_id] = reply
             self._reply_cache.move_to_end(request_id)
-            while len(self._reply_cache) > self._reply_cache_size:
+            while len(self._reply_cache) > _REPLY_CACHE_SIZE:
                 self._reply_cache.popitem(last=False)
 
     # ----------------------------------------------------------- dispatch
@@ -365,29 +363,25 @@ class ServingCore:
 
         Joined, the chunks are exactly one self-contained reply frame; kept
         apart, the result arrays cross the socket as the memoryviews
-        :func:`repro.engine.wire.encode_result_chunks` produced.  The reply
-        echoes the request envelope's ``seq`` tag so a pipelining peer can
-        route interleaved replies; errors -- including a failed hot swap --
-        travel as structured ERROR frames carrying the same echo.
+        :func:`repro.engine.wire.encode_result_chunks` produced.  Errors --
+        an undecodable frame or a failed hot swap included -- travel as
+        structured ERROR frames.
         """
         handle_start = time.perf_counter()
-        envelope: dict | None = None
         try:
             kind = wire.frame_kind(frame)
-            request_meta = wire.frame_wire_meta(frame)
-            if "seq" in request_meta:
-                envelope = {"seq": request_meta["seq"]}
             if kind == wire.INFO_REQUEST:
-                return [wire.encode_info(self.info(), wire_meta=envelope)]
+                return [wire.encode_info(self.info())]
             if kind == wire.METRICS_REQUEST:
-                return [wire.encode_metrics(self.metrics(), wire_meta=envelope)]
+                return [wire.encode_metrics(self.metrics())]
             if kind == wire.SWAP_REQUEST:
-                return [self._handle_swap(frame, envelope)]
+                return [self._handle_swap(frame)]
             if kind != wire.REQUEST:
                 raise wire.WireFormatError(
                     "Readout servers answer REQUEST, INFO_REQUEST, "
                     f"METRICS_REQUEST, and SWAP_REQUEST frames, got kind {kind}"
                 )
+            request_meta = wire.decode_request_wire_meta(frame)
             request_id = request_meta.get("request_id")
             if request_id is not None:
                 cached = self._cached_reply(str(request_id))
@@ -407,11 +401,11 @@ class ServingCore:
             # already been admitted (closed engines still serve, bit-exact).
             with self._swap_lock:
                 engine = self._engine
-            result = engine.serve(request, parallel=self._parallel)
+            result = engine.serve(request)
             with self._served_lock:
                 self._requests_served += 1
-            # Echo the envelope's trace keys: the front-end (and the trace
-            # tests) read them back to prove the id crossed the wire.
+            # Echo the request meta's trace keys: the front-end (and the
+            # trace tests) read them back to prove the id crossed the wire.
             trace_keys = {
                 key: request_meta[key]
                 for key in ("trace_id", "trace_ids")
@@ -427,8 +421,7 @@ class ServingCore:
                     n_shots=result.n_shots,
                     elapsed_s=result.elapsed_s,
                     meta={**result.meta, "transport": "tcp", **trace_keys},
-                ),
-                wire_meta=envelope,
+                )
             )
             if request_id is not None:
                 self._cache_reply(str(request_id), b"".join(chunks))
@@ -438,9 +431,9 @@ class ServingCore:
             with self._served_lock:
                 self._requests_served += 1
             self._telemetry.count("error_replies")
-            return [wire.encode_error(exc, wire_meta=envelope)]
+            return [wire.encode_error(exc)]
 
-    def _handle_swap(self, frame, envelope: dict | None = None) -> bytes:
+    def _handle_swap(self, frame) -> bytes:
         """Hot-swap to the bundle a SWAP_REQUEST names; ack with a SWAP frame.
 
         The candidate is fully loaded and verified *before* anything flips,
@@ -494,8 +487,7 @@ class ServingCore:
                 "n_qubits": engine.n_qubits,
                 "backend": engine.backend_kind,
                 "swaps": swaps,
-            },
-            wire_meta=envelope,
+            }
         )
 
 
@@ -507,19 +499,17 @@ class ServingCore:
 class _ServerProtocol(asyncio.BufferedProtocol):
     """One client connection on the server's event loop.
 
-    Tagged requests (a ``seq`` in the envelope) are served concurrently on
-    the executor and their replies written in completion order -- the peer
-    reorders by tag.  Untagged requests are the blocking
-    :class:`RemoteEngineClient` and :class:`TcpShardTransport` speaking;
-    their replies are chained strictly FIFO, the order those clients read
-    them in.
+    Every frame is served on the executor, so a connection with several
+    frames in flight (a :class:`TcpShardTransport` failover resends its
+    whole backlog) overlaps their compute, but the replies are chained
+    strictly FIFO -- the order the clients read them in.  The loop thread
+    only moves bytes: headers are parsed on the executor.
     """
 
     def __init__(self, server: "ReadoutServer") -> None:
         self._server = server
         self._assembler = FrameAssembler()
         self._transport = None
-        self._inflight: set = set()
         self._tasks: set[asyncio.Task] = set()
         self._fifo_tail: asyncio.Future | None = None
 
@@ -554,65 +544,30 @@ class _ServerProtocol(asyncio.BufferedProtocol):
             self._transport.close()
             return
         if frame is not None:
-            self._dispatch(frame)
+            task = self._server._loop.create_task(self._serve(frame))
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
 
-    # ------------------------------------------------------------ dispatch
-    def _dispatch(self, frame) -> None:
-        try:
-            envelope = wire.frame_wire_meta(frame)
-        except wire.WireFormatError:
-            self._transport.close()
-            return
-        seq = envelope.get("seq")
-        if seq is not None:
-            if seq in self._inflight:
-                # A duplicate in-flight tag is a protocol violation answered
-                # loudly on exactly that tag; sibling requests are untouched.
-                _write_frame_chunks(
-                    self._transport,
-                    [
-                        wire.encode_error(
-                            wire.WireFormatError(
-                                f"Pipeline tag seq={seq!r} is already in "
-                                "flight on this connection"
-                            ),
-                            wire_meta={"seq": seq},
-                        )
-                    ],
-                )
-                return
-            self._inflight.add(seq)
-        task = self._server._loop.create_task(self._serve(frame, seq))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _serve(self, frame, seq) -> None:
+    # ------------------------------------------------------------ serving
+    async def _serve(self, frame) -> None:
         server = self._server
-        prev = done = None
-        if seq is None:
-            # Untagged peers expect strict FIFO replies: chain the writes so
-            # executor concurrency never reorders their stream.
-            prev, done = self._fifo_tail, server._loop.create_future()
-            self._fifo_tail = done
+        # Chain the writes so executor concurrency never reorders the
+        # connection's reply stream.
+        prev, done = self._fifo_tail, server._loop.create_future()
+        self._fifo_tail = done
         try:
             try:
                 chunks = await server._loop.run_in_executor(
                     server._executor, server._core.reply_chunks_for, frame
                 )
             except RuntimeError as exc:  # executor shut down mid-drain
-                chunks = [
-                    wire.encode_error(
-                        exc, wire_meta=None if seq is None else {"seq": seq}
-                    )
-                ]
+                chunks = [wire.encode_error(exc)]
             if prev is not None:
                 await prev
             if not self._transport.is_closing():
                 _write_frame_chunks(self._transport, chunks)
         finally:
-            if seq is not None:
-                self._inflight.discard(seq)
-            if done is not None and not done.done():
+            if not done.done():
                 done.set_result(None)
 
     # ------------------------------------------------------------- draining
@@ -642,29 +597,13 @@ class ReadoutServer:
     host / port:
         Bind address.  ``port=0`` picks a free port (read it back from
         :attr:`address` -- the loopback tests and benchmarks do).
-    parallel:
-        ``parallel`` flag forwarded to ``engine.serve`` (``None`` = the
-        engine's automatic choice).
     max_workers:
         Worker-thread cap for the loaded engine's per-qubit fan-out.
-    backlog:
-        Listen backlog.  High by default: a thousand clients dialing at
-        once is normal weather for one event loop.
-    drain_timeout:
-        How long :meth:`close` waits for in-flight requests to finish
-        before closing their connections.
-    reply_cache_size:
-        How many recent replies to keep, keyed by the idempotent
-        ``request_id`` retrying clients stamp into wire meta.  A retried
-        request whose first attempt *was* answered (the reply died with the
-        connection) replays the cached frame instead of being served twice
-        -- the server half of idempotent failover.  ``0`` disables caching.
-    telemetry:
-        Record per-request engine-compute and request-handling latency
-        histograms, served live through the METRICS wire frame
-        (:meth:`metrics`, ``python -m repro.service.telemetry HOST:PORT``).
-        On by default; ``False`` answers METRICS requests with empty
-        histograms.
+
+    The engine picks its own parallel/sequential path per request; listen
+    backlog, drain timeout and reply-cache size are module constants; the
+    latency histograms the METRICS frame serves (:meth:`metrics`,
+    ``python -m repro.service.telemetry HOST:PORT``) are always recorded.
     """
 
     def __init__(
@@ -673,23 +612,10 @@ class ReadoutServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        parallel: bool | None = None,
         max_workers: int | None = None,
-        backlog: int = 512,
-        drain_timeout: float = 10.0,
-        reply_cache_size: int = 256,
-        telemetry: bool = True,
     ) -> None:
-        self._core = ServingCore(
-            bundle_dir,
-            parallel=parallel,
-            max_workers=max_workers,
-            reply_cache_size=reply_cache_size,
-            telemetry=telemetry,
-        )
+        self._core = ServingCore(bundle_dir, max_workers=max_workers)
         self._requested = (host, int(port))
-        self._backlog = int(backlog)
-        self._drain_timeout = float(drain_timeout)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._aio_server = None
@@ -778,7 +704,7 @@ class ReadoutServer:
     async def _bind(self) -> tuple[str, int]:
         host, port = self._requested
         self._aio_server = await self._loop.create_server(
-            lambda: _ServerProtocol(self), host, port, backlog=self._backlog
+            lambda: _ServerProtocol(self), host, port, backlog=_BACKLOG
         )
         return self._aio_server.sockets[0].getsockname()[:2]
 
@@ -795,7 +721,7 @@ class ReadoutServer:
 
         Requests already being served finish and their replies are written;
         connections are then closed (those still busy past
-        ``drain_timeout`` are closed anyway).  Idempotent; a concurrent
+        :data:`_DRAIN_TIMEOUT_S` are closed anyway).  Idempotent; a concurrent
         caller blocks until the first close finishes.
         """
         if self._closing:
@@ -806,7 +732,7 @@ class ReadoutServer:
             try:
                 asyncio.run_coroutine_threadsafe(
                     self._shutdown(), self._loop
-                ).result(self._drain_timeout + 10.0)
+                ).result(_DRAIN_TIMEOUT_S + 10.0)
             except (concurrent.futures.TimeoutError, RuntimeError):
                 pass  # force the teardown below
             self._stop_loop()
@@ -819,7 +745,7 @@ class ReadoutServer:
         if self._aio_server is not None:
             self._aio_server.close()
             await self._aio_server.wait_closed()
-        deadline = self._loop.time() + self._drain_timeout
+        deadline = self._loop.time() + _DRAIN_TIMEOUT_S
         tasks = [
             task for conn in self._connections for task in conn.pending_tasks()
         ]
@@ -1131,9 +1057,9 @@ class TcpShardTransport:
     ``(host, port)``, or a list of replicas
     (:func:`~repro.service.sharding.replica_addresses`).  Exactly one
     replica -- the **active** one -- carries traffic at a time, and the
-    server answers untagged frames strictly in order, so the per-shard FIFO
-    protocol the front-end relies on holds across the network exactly as it
-    does across a pipe.  Job ids are tracked locally (the wire does not
+    server answers each connection's frames strictly in order, so the
+    per-shard FIFO protocol the front-end relies on holds across the network
+    exactly as it does across a pipe.  Job ids are tracked locally (the wire does not
     carry them) and checked on collect so a protocol bug fails loudly.
 
     When the active replica fails (connection lost, refused, mid-frame

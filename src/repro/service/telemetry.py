@@ -43,7 +43,6 @@ __all__ = [
     "TelemetryRecorder",
     "format_metrics",
     "new_trace_id",
-    "summarize_latencies",
     "main",
 ]
 
@@ -60,27 +59,6 @@ PERCENTILES = (50.0, 95.0, 99.0)
 def new_trace_id() -> str:
     """A fresh trace id (opaque hex string, unique per request)."""
     return uuid.uuid4().hex
-
-
-def summarize_latencies(samples_s) -> dict:
-    """Exact percentile summary of raw latency samples, in milliseconds.
-
-    The load-generator counterpart of :meth:`LatencyHistogram.summary`:
-    where the histogram trades exactness for O(1) always-on recording, a
-    bench holding every sample can afford the sort and report *exact*
-    nearest-rank percentiles -- the p50/p95/p99 numbers the latency benches
-    publish.  Returns zeros for an empty sample set.
-    """
-    samples = sorted(max(0.0, float(sample)) for sample in samples_s)
-    count = len(samples)
-    out = {"count": count, "mean_ms": 0.0}
-    if count:
-        out["mean_ms"] = sum(samples) / count * 1e3
-    for p in PERCENTILES:
-        rank = max(1, math.ceil(count * p / 100.0)) - 1 if count else 0
-        out[f"p{p:g}_ms"] = samples[rank] * 1e3 if count else 0.0
-    out["max_ms"] = samples[-1] * 1e3 if count else 0.0
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,4 @@
-"""Tests for ReadoutEngine: per-qubit serving, parallel/sequential equality.
-
-Much of this module predates the request API and covers the engine through
-the legacy eight-method surface on purpose (the shims must keep working
-verbatim), so the suite-wide DeprecationWarning error filter (pytest.ini)
-is relaxed here.
-"""
+"""Tests for ReadoutEngine: per-qubit serving, parallel/sequential equality."""
 
 from __future__ import annotations
 
@@ -13,11 +7,15 @@ import pytest
 
 from make_golden import CASES, build_parameters
 
-from repro.engine import FixedPointBackend, FloatStudentBackend, ReadoutEngine, serve_traces
+from repro.engine import (
+    FixedPointBackend,
+    FloatStudentBackend,
+    ReadoutEngine,
+    ReadoutRequest,
+    serve_traces,
+)
 from repro.fpga.fixed_point import Q16_16
 from repro.readout.preprocessing import digitize_traces
-
-pytestmark = pytest.mark.filterwarnings("ignore:ReadoutEngine")
 
 
 class TestConstruction:
@@ -52,113 +50,112 @@ class TestConstruction:
 
 class TestServing:
     def test_discriminate_all_shape(self, synthetic_fpga_engine, synthetic_traces):
-        states = synthetic_fpga_engine.discriminate_all(synthetic_traces)
+        states = synthetic_fpga_engine.serve(ReadoutRequest(traces=synthetic_traces)).states
         assert states.shape == (synthetic_traces.shape[0], 3)
         assert set(np.unique(states)).issubset({0, 1})
 
     def test_parallel_and_sequential_bit_identical_fpga(
         self, synthetic_fpga_engine, synthetic_traces
     ):
-        sequential = synthetic_fpga_engine.discriminate_all(
-            synthetic_traces, parallel=False
-        )
-        parallel = synthetic_fpga_engine.discriminate_all(
-            synthetic_traces, parallel=True
-        )
-        np.testing.assert_array_equal(sequential, parallel)
-        np.testing.assert_array_equal(
-            synthetic_fpga_engine.predict_logits_all(synthetic_traces, parallel=False),
-            synthetic_fpga_engine.predict_logits_all(synthetic_traces, parallel=True),
-        )
+        request = ReadoutRequest(traces=synthetic_traces, output="both")
+        sequential = synthetic_fpga_engine.serve(request, parallel=False)
+        parallel = synthetic_fpga_engine.serve(request, parallel=True)
+        np.testing.assert_array_equal(sequential.states, parallel.states)
+        np.testing.assert_array_equal(sequential.logits, parallel.logits)
 
     def test_parallel_and_sequential_bit_identical_float(
         self, trained_student, small_dataset
     ):
         engine = ReadoutEngine.from_students([trained_student] * 2, backend="float")
         view = small_dataset.qubit_view(0)
-        traces = np.stack([view.test_traces[:60]] * 2, axis=1)
+        request = ReadoutRequest(traces=np.stack([view.test_traces[:60]] * 2, axis=1))
         np.testing.assert_array_equal(
-            engine.discriminate_all(traces, parallel=False),
-            engine.discriminate_all(traces, parallel=True),
+            engine.serve(request, parallel=False).states,
+            engine.serve(request, parallel=True).states,
         )
 
     def test_single_qubit_matches_joint_column(
         self, synthetic_fpga_engine, synthetic_traces
     ):
-        joint = synthetic_fpga_engine.discriminate_all(synthetic_traces)
+        joint = synthetic_fpga_engine.serve(ReadoutRequest(traces=synthetic_traces))
         for qubit in range(synthetic_fpga_engine.n_qubits):
-            solo = synthetic_fpga_engine.discriminate(
-                synthetic_traces[:, qubit], qubit_index=qubit
+            solo = synthetic_fpga_engine.serve(
+                ReadoutRequest(traces=synthetic_traces[:, [qubit]], qubits=(qubit,))
             )
-            np.testing.assert_array_equal(joint[:, qubit], solo)
+            np.testing.assert_array_equal(joint.states[:, qubit], solo.states[:, 0])
 
     def test_single_trace_discrimination(self, synthetic_fpga_engine, synthetic_traces):
-        state = synthetic_fpga_engine.discriminate(
-            synthetic_traces[0, 0], qubit_index=0
-        )
+        state = synthetic_fpga_engine._serve_single_qubit(synthetic_traces[0, 0], 0)
         assert state in (0, 1)
-        logit = synthetic_fpga_engine.predict_logits(
-            synthetic_traces[0, 0], qubit_index=0
+        logit = synthetic_fpga_engine._serve_single_qubit(
+            synthetic_traces[0, 0], 0, output="logits"
         )
         assert np.ndim(logit) == 0
 
     def test_qubit_index_out_of_range(self, synthetic_fpga_engine, synthetic_traces):
         with pytest.raises(IndexError):
-            synthetic_fpga_engine.discriminate(synthetic_traces[:, 0], qubit_index=3)
+            synthetic_fpga_engine.serve(
+                ReadoutRequest(traces=synthetic_traces[:, [0]], qubits=(3,))
+            )
 
     def test_wrong_multiplexed_shape_rejected(self, synthetic_fpga_engine, synthetic_traces):
         with pytest.raises(ValueError, match="shape"):
-            synthetic_fpga_engine.discriminate_all(synthetic_traces[:, :2])
+            synthetic_fpga_engine.serve(ReadoutRequest(traces=synthetic_traces[:, :2]))
 
     def test_max_workers_one_forces_sequential_path(
         self, synthetic_fpga_engine, synthetic_traces
     ):
         capped = ReadoutEngine(synthetic_fpga_engine.backends, max_workers=1)
+        request = ReadoutRequest(traces=synthetic_traces)
+        assert capped.worker_count == 1
         np.testing.assert_array_equal(
-            capped.discriminate_all(synthetic_traces),
-            synthetic_fpga_engine.discriminate_all(synthetic_traces, parallel=False),
+            capped.serve(request).states,
+            synthetic_fpga_engine.serve(request, parallel=False).states,
         )
+        assert capped._executor is None  # the automatic choice never pooled
 
     def test_explicit_parallel_with_many_workers(
         self, synthetic_fpga_engine, synthetic_traces
     ):
         """Force a real thread pool even on single-core hosts."""
         pooled = ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3)
+        request = ReadoutRequest(traces=synthetic_traces)
         np.testing.assert_array_equal(
-            pooled.discriminate_all(synthetic_traces, parallel=True),
-            synthetic_fpga_engine.discriminate_all(synthetic_traces, parallel=False),
+            pooled.serve(request, parallel=True).states,
+            synthetic_fpga_engine.serve(request, parallel=False).states,
         )
 
     def test_executor_is_reused_across_calls(self, synthetic_fpga_engine, synthetic_traces):
         engine = ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3)
-        engine.discriminate_all(synthetic_traces, parallel=True)
+        request = ReadoutRequest(traces=synthetic_traces)
+        engine.serve(request, parallel=True)
         first = engine._executor
         assert first is not None
-        engine.discriminate_all(synthetic_traces, parallel=True)
+        engine.serve(request, parallel=True)
         assert engine._executor is first
         engine.close()
 
     def test_closed_engine_serves_sequentially(
         self, synthetic_fpga_engine, synthetic_traces
     ):
-        reference = synthetic_fpga_engine.discriminate_all(
-            synthetic_traces, parallel=False
-        )
+        request = ReadoutRequest(traces=synthetic_traces)
+        reference = synthetic_fpga_engine.serve(request, parallel=False).states
         with ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3) as engine:
             np.testing.assert_array_equal(
-                engine.discriminate_all(synthetic_traces, parallel=True), reference
+                engine.serve(request, parallel=True).states, reference
             )
         # Context exit closed the pool; the engine still serves (sequentially).
         np.testing.assert_array_equal(
-            engine.discriminate_all(synthetic_traces, parallel=True), reference
+            engine.serve(request, parallel=True).states, reference
         )
+        assert engine._executor is None
         engine.close()  # idempotent
 
     def test_worker_exception_propagates(self, synthetic_fpga_engine):
         bad = np.full((4, 3, 2, 2), 0.5)  # traces shorter than the MF envelope
         with pytest.raises(ValueError):
-            ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3).discriminate_all(
-                bad, parallel=True
+            ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3).serve(
+                ReadoutRequest(traces=bad), parallel=True
             )
 
 
@@ -181,51 +178,45 @@ class TestRawServing:
         """int32 and int64 carriers reproduce the float-trace fpga path exactly."""
         carriers = digitize_traces(synthetic_traces)
         assert carriers.dtype == np.int32
-        float_logits = synthetic_fpga_engine.predict_logits_all(
-            synthetic_traces, parallel=False
+        float_result = synthetic_fpga_engine.serve(
+            ReadoutRequest(traces=synthetic_traces, output="both"), parallel=False
         )
         for dtype in (np.int32, np.int64):
-            raw_logits = synthetic_fpga_engine.predict_logits_all_raw(
-                carriers.astype(dtype), parallel=False
+            raw_result = synthetic_fpga_engine.serve(
+                ReadoutRequest(raw=carriers.astype(dtype), output="both"),
+                parallel=False,
             )
-            np.testing.assert_array_equal(float_logits, raw_logits)
-        np.testing.assert_array_equal(
-            synthetic_fpga_engine.discriminate_all(synthetic_traces, parallel=False),
-            synthetic_fpga_engine.discriminate_all_raw(carriers, parallel=False),
-        )
+            np.testing.assert_array_equal(float_result.logits, raw_result.logits)
+            np.testing.assert_array_equal(float_result.states, raw_result.states)
 
     def test_raw_parallel_equals_sequential(
         self, synthetic_fpga_engine, synthetic_traces
     ):
-        carriers = digitize_traces(synthetic_traces)
+        request = ReadoutRequest(raw=digitize_traces(synthetic_traces), output="both")
         pooled = ReadoutEngine(synthetic_fpga_engine.backends, max_workers=3)
-        np.testing.assert_array_equal(
-            pooled.discriminate_all_raw(carriers, parallel=True),
-            synthetic_fpga_engine.discriminate_all_raw(carriers, parallel=False),
-        )
-        np.testing.assert_array_equal(
-            pooled.predict_logits_all_raw(carriers, parallel=True),
-            synthetic_fpga_engine.predict_logits_all_raw(carriers, parallel=False),
-        )
+        parallel = pooled.serve(request, parallel=True)
+        sequential = synthetic_fpga_engine.serve(request, parallel=False)
+        np.testing.assert_array_equal(parallel.states, sequential.states)
+        np.testing.assert_array_equal(parallel.logits, sequential.logits)
         pooled.close()
 
     def test_single_qubit_raw_matches_joint_column(
         self, synthetic_fpga_engine, synthetic_traces
     ):
         carriers = digitize_traces(synthetic_traces)
-        joint = synthetic_fpga_engine.discriminate_all_raw(carriers)
+        joint = synthetic_fpga_engine.serve(ReadoutRequest(raw=carriers))
         for qubit in range(synthetic_fpga_engine.n_qubits):
-            solo = synthetic_fpga_engine.discriminate_raw(
-                carriers[:, qubit], qubit_index=qubit
+            solo = synthetic_fpga_engine.serve(
+                ReadoutRequest(raw=carriers[:, [qubit]], qubits=(qubit,))
             )
-            np.testing.assert_array_equal(joint[:, qubit], solo)
+            np.testing.assert_array_equal(joint.states[:, qubit], solo.states[:, 0])
 
     def test_single_raw_trace_convention(self, synthetic_fpga_engine, synthetic_traces):
         carriers = digitize_traces(synthetic_traces)
-        state = synthetic_fpga_engine.discriminate_raw(carriers[0, 0], qubit_index=0)
+        state = synthetic_fpga_engine._serve_single_qubit(carriers[0, 0], 0, raw=True)
         assert state in (0, 1)
-        logit = synthetic_fpga_engine.predict_logits_from_raw(
-            carriers[0, 0], qubit_index=0
+        logit = synthetic_fpga_engine._serve_single_qubit(
+            carriers[0, 0], 0, output="logits", raw=True
         )
         assert np.ndim(logit) == 0
 
@@ -233,14 +224,16 @@ class TestRawServing:
         self, synthetic_fpga_engine, synthetic_traces
     ):
         with pytest.raises(TypeError, match="integer"):
-            synthetic_fpga_engine.discriminate_all_raw(synthetic_traces)
+            synthetic_fpga_engine.serve(ReadoutRequest(raw=synthetic_traces))
         with pytest.raises(TypeError, match="integer"):
-            synthetic_fpga_engine.discriminate_raw(synthetic_traces[:, 0], 0)
+            synthetic_fpga_engine._serve_single_qubit(
+                synthetic_traces[:, 0], 0, raw=True
+            )
 
     def test_wrong_raw_shape_rejected(self, synthetic_fpga_engine, synthetic_traces):
         carriers = digitize_traces(synthetic_traces)
         with pytest.raises(ValueError, match="shape"):
-            synthetic_fpga_engine.discriminate_all_raw(carriers[:, :2])
+            synthetic_fpga_engine.serve(ReadoutRequest(raw=carriers[:, :2]))
 
     def test_mismatched_carrier_format_rejected(
         self, synthetic_fpga_engine, synthetic_traces
@@ -251,12 +244,12 @@ class TestRawServing:
         q8_8 = FixedPointFormat(integer_bits=8, fractional_bits=8)
         carriers = digitize_traces(synthetic_traces, fmt=q8_8)
         with pytest.raises(ValueError, match="re-digitize"):
-            synthetic_fpga_engine.discriminate_all_raw(carriers, fmt=q8_8)
+            synthetic_fpga_engine.serve(ReadoutRequest(raw=carriers, fmt=q8_8))
         # Matching declaration (or none at all) serves normally.
         matching = digitize_traces(synthetic_traces, fmt=Q16_16)
         np.testing.assert_array_equal(
-            synthetic_fpga_engine.discriminate_all_raw(matching, fmt=Q16_16),
-            synthetic_fpga_engine.discriminate_all_raw(matching),
+            synthetic_fpga_engine.serve(ReadoutRequest(raw=matching, fmt=Q16_16)).states,
+            synthetic_fpga_engine.serve(ReadoutRequest(raw=matching)).states,
         )
 
     def test_mixed_engine_rejects_raw_without_dequantize(
@@ -271,11 +264,11 @@ class TestRawServing:
         view = small_dataset.qubit_view(0)
         carriers = digitize_traces(np.stack([view.test_traces[:20]] * 2, axis=1))
         with pytest.raises(TypeError, match="dequantize"):
-            engine.discriminate_all_raw(carriers)
+            engine.serve(ReadoutRequest(raw=carriers))
         with pytest.raises(TypeError, match="dequantize"):
-            engine.predict_logits_all_raw(carriers)
+            engine.serve(ReadoutRequest(raw=carriers, output="logits"))
         with pytest.raises(TypeError, match="dequantize"):
-            engine.discriminate_raw(carriers[:, 0], qubit_index=0)
+            engine._serve_single_qubit(carriers[:, 0], 0, raw=True)
 
     def test_dequantize_fallback_is_explicit_and_correct(
         self, trained_student, small_dataset
@@ -290,7 +283,7 @@ class TestRawServing:
         view = small_dataset.qubit_view(0)
         traces = np.stack([view.test_traces[:20]] * 2, axis=1)
         carriers = digitize_traces(traces)
-        states = engine.discriminate_all_raw(carriers, dequantize=True)
+        states = engine.serve(ReadoutRequest(raw=carriers, dequantize=True)).states
         # Float column: the student fed the dequantized (grid-quantized) traces.
         np.testing.assert_array_equal(
             states[:, 0],
@@ -320,7 +313,7 @@ class TestRawServing:
         carriers = digitize_traces(
             np.stack([view.test_traces[:20]] * 2, axis=1), fmt=q12_12
         )
-        states = engine.discriminate_all_raw(carriers, dequantize=True)
+        states = engine.serve(ReadoutRequest(raw=carriers, dequantize=True)).states
         np.testing.assert_array_equal(
             states[:, 0],
             trained_student.predict_states(q12_12.from_raw(carriers[:, 0])),
@@ -343,7 +336,7 @@ class TestRawServing:
         )
         carriers = np.zeros((4, 3, 40, 2), dtype=np.int32)
         with pytest.raises(ValueError, match="multiple formats"):
-            engine.discriminate_all_raw(carriers, dequantize=True)
+            engine.serve(ReadoutRequest(raw=carriers, dequantize=True))
 
     def test_golden_snapshot_through_raw_path(self):
         """Raw serving must land exactly on the golden raw-integer snapshot."""
@@ -358,7 +351,9 @@ class TestRawServing:
             [FixedPointBackend(build_parameters(CASES["q16_16"])) for _ in range(2)]
         )
         carriers = digitize_traces(np.stack([build_traces()] * 2, axis=1))
-        logits = engine.predict_logits_all_raw(carriers, parallel=True)
+        logits = engine.serve(
+            ReadoutRequest(raw=carriers, output="logits"), parallel=True
+        ).logits
         expected = golden.astype(np.float64) / CASES["q16_16"].scale
         np.testing.assert_array_equal(logits[:, 0], expected)
         np.testing.assert_array_equal(logits[:, 1], expected)
@@ -423,7 +418,9 @@ class TestGoldenThroughEngine:
             [FixedPointBackend(build_parameters(CASES["q16_16"])) for _ in range(2)]
         )
         traces = np.stack([build_traces()] * 2, axis=1)
-        logits = engine.predict_logits_all(traces, parallel=True)
+        logits = engine.serve(
+            ReadoutRequest(traces=traces, output="logits"), parallel=True
+        ).logits
         expected = golden.astype(np.float64) / CASES["q16_16"].scale
         np.testing.assert_array_equal(logits[:, 0], expected)
         np.testing.assert_array_equal(logits[:, 1], expected)

@@ -4,10 +4,11 @@ Three jobs:
 
 * **request/result semantics** -- validation, qubit subsets, output kinds,
   timing metadata;
-* **legacy-shim parity** -- every deprecated ``discriminate*`` /
-  ``predict_logits*`` method must be bit-identical to the equivalent
-  ``serve()`` call (float and raw carriers, parallel and sequential), pinned
-  against the golden fixed-point snapshot;
+* **legacy-mapping parity** -- each ``serve()`` call the README maps a
+  removed ``discriminate*`` / ``predict_logits*`` method onto computes
+  exactly what that method computed, per backend column (float and raw
+  carriers, parallel and sequential), pinned against the golden fixed-point
+  snapshot;
 * **the shared error path** -- single-qubit and multiplexed shape errors
   report expected vs. actual shape through one formatter.
 """
@@ -32,62 +33,9 @@ from repro.engine import (
 from repro.fpga.fixed_point import Q16_16
 from repro.readout.preprocessing import digitize_traces
 
-# These are *the* legacy-shim tests: they exercise the deprecated eight-method
-# API on purpose, so the suite-wide error filter for its DeprecationWarnings
-# (pytest.ini) is relaxed here -- and only here plus tests/engine/test_engine.py.
-pytestmark = pytest.mark.filterwarnings("ignore:ReadoutEngine")
-
-
 @pytest.fixture(scope="module")
 def carriers(synthetic_traces) -> np.ndarray:
     return digitize_traces(synthetic_traces)
-
-
-class TestShimDeprecation:
-    """The eight legacy entry points must announce their deprecation."""
-
-    def test_legacy_methods_emit_deprecation_warnings(
-        self, synthetic_fpga_engine, synthetic_traces
-    ):
-        carriers = digitize_traces(synthetic_traces)
-        calls = {
-            "discriminate": lambda: synthetic_fpga_engine.discriminate(
-                synthetic_traces[:, 0], qubit_index=0
-            ),
-            "predict_logits": lambda: synthetic_fpga_engine.predict_logits(
-                synthetic_traces[:, 0], qubit_index=0
-            ),
-            "discriminate_all": lambda: synthetic_fpga_engine.discriminate_all(
-                synthetic_traces
-            ),
-            "predict_logits_all": lambda: synthetic_fpga_engine.predict_logits_all(
-                synthetic_traces
-            ),
-            "discriminate_raw": lambda: synthetic_fpga_engine.discriminate_raw(
-                carriers[:, 0], qubit_index=0
-            ),
-            "predict_logits_from_raw": (
-                lambda: synthetic_fpga_engine.predict_logits_from_raw(
-                    carriers[:, 0], qubit_index=0
-                )
-            ),
-            "discriminate_all_raw": lambda: synthetic_fpga_engine.discriminate_all_raw(
-                carriers
-            ),
-            "predict_logits_all_raw": (
-                lambda: synthetic_fpga_engine.predict_logits_all_raw(carriers)
-            ),
-        }
-        for name, call in calls.items():
-            with pytest.warns(DeprecationWarning, match=rf"ReadoutEngine\.{name}\(\)"):
-                call()
-
-    def test_serve_does_not_warn(self, synthetic_fpga_engine, synthetic_traces):
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", DeprecationWarning)
-            synthetic_fpga_engine.serve(ReadoutRequest(traces=synthetic_traces))
 
 
 class TestRequestValidation:
@@ -138,9 +86,9 @@ class TestSharedErrorPath:
         self, synthetic_fpga_engine, synthetic_traces, carriers
     ):
         with pytest.raises(ValueError) as float_err:
-            synthetic_fpga_engine.discriminate_all(synthetic_traces[:, :2])
+            synthetic_fpga_engine.serve(ReadoutRequest(traces=synthetic_traces[:, :2]))
         with pytest.raises(ValueError) as raw_err:
-            synthetic_fpga_engine.discriminate_all_raw(carriers[:, :2])
+            synthetic_fpga_engine.serve(ReadoutRequest(raw=carriers[:, :2]))
         expected = "must have shape (shots, 3, samples, 2), got"
         assert expected in str(float_err.value)
         assert expected in str(raw_err.value)
@@ -152,9 +100,9 @@ class TestSharedErrorPath:
     ):
         bad = synthetic_traces[:, 0, :, 0]  # trailing axis is not 2
         with pytest.raises(ValueError) as float_err:
-            synthetic_fpga_engine.discriminate(bad, qubit_index=0)
+            synthetic_fpga_engine._serve_single_qubit(bad, 0)
         with pytest.raises(ValueError) as raw_err:
-            synthetic_fpga_engine.discriminate_raw(carriers[:, 0, :, 0], qubit_index=0)
+            synthetic_fpga_engine._serve_single_qubit(carriers[:, 0, :, 0], 0, raw=True)
         expected = "must have shape (shots, samples, 2) or (samples, 2), got"
         assert expected in str(float_err.value)
         assert expected in str(raw_err.value)
@@ -171,7 +119,20 @@ class TestSharedErrorPath:
 
 
 class TestShimParity:
-    """Every legacy entry point must be a bit-identical shim over serve()."""
+    """The README's table maps each removed legacy method onto a ``serve()``
+    call; those calls must compute exactly what the method computed -- each
+    backend's own answer for its column."""
+
+    @staticmethod
+    def _per_backend(engine, answer, carrier) -> np.ndarray:
+        """``answer(backend, column)`` for every qubit, stacked as columns."""
+        return np.stack(
+            [
+                answer(backend, carrier[:, qubit])
+                for qubit, backend in enumerate(engine.backends)
+            ],
+            axis=1,
+        )
 
     @pytest.mark.parametrize("parallel", [False, True])
     def test_float_multiplexed_shims(
@@ -184,11 +145,20 @@ class TestShimParity:
             ReadoutRequest(traces=synthetic_traces, output="logits"), parallel=parallel
         ).logits
         np.testing.assert_array_equal(
-            states, synthetic_fpga_engine.discriminate_all(synthetic_traces, parallel=parallel)
+            states,
+            self._per_backend(
+                synthetic_fpga_engine,
+                lambda backend, column: backend.predict_states(column),
+                synthetic_traces,
+            ),
         )
         np.testing.assert_array_equal(
             logits,
-            synthetic_fpga_engine.predict_logits_all(synthetic_traces, parallel=parallel),
+            self._per_backend(
+                synthetic_fpga_engine,
+                lambda backend, column: backend.predict_logits(column),
+                synthetic_traces,
+            ),
         )
 
     @pytest.mark.parametrize("parallel", [False, True])
@@ -200,45 +170,55 @@ class TestShimParity:
             ReadoutRequest(raw=carriers, output="logits"), parallel=parallel
         ).logits
         np.testing.assert_array_equal(
-            states, synthetic_fpga_engine.discriminate_all_raw(carriers, parallel=parallel)
+            states,
+            self._per_backend(
+                synthetic_fpga_engine,
+                lambda backend, column: backend.predict_states_from_raw(column),
+                carriers,
+            ),
         )
         np.testing.assert_array_equal(
             logits,
-            synthetic_fpga_engine.predict_logits_all_raw(carriers, parallel=parallel),
+            self._per_backend(
+                synthetic_fpga_engine,
+                lambda backend, column: backend.fmt.from_raw(
+                    backend.predict_logits_from_raw(column)
+                ),
+                carriers,
+            ),
         )
 
     def test_single_qubit_shims(self, synthetic_fpga_engine, synthetic_traces, carriers):
-        for qubit in range(synthetic_fpga_engine.n_qubits):
+        """The single-qubit mappings equal the bare-trace adapter
+        ``KlinqReadout.discriminate`` serves through."""
+        engine = synthetic_fpga_engine
+        for qubit in range(engine.n_qubits):
             request = ReadoutRequest(
                 traces=synthetic_traces[:, [qubit]], qubits=(qubit,), output="both"
             )
-            result = synthetic_fpga_engine.serve(request)
+            result = engine.serve(request)
             np.testing.assert_array_equal(
                 result.states[:, 0],
-                synthetic_fpga_engine.discriminate(
-                    synthetic_traces[:, qubit], qubit_index=qubit
-                ),
+                engine._serve_single_qubit(synthetic_traces[:, qubit], qubit),
             )
             np.testing.assert_array_equal(
                 result.logits[:, 0],
-                synthetic_fpga_engine.predict_logits(
-                    synthetic_traces[:, qubit], qubit_index=qubit
+                engine._serve_single_qubit(
+                    synthetic_traces[:, qubit], qubit, output="logits"
                 ),
             )
             raw_request = ReadoutRequest(
                 raw=carriers[:, [qubit]], qubits=(qubit,), output="both"
             )
-            raw_result = synthetic_fpga_engine.serve(raw_request)
+            raw_result = engine.serve(raw_request)
             np.testing.assert_array_equal(
                 raw_result.states[:, 0],
-                synthetic_fpga_engine.discriminate_raw(
-                    carriers[:, qubit], qubit_index=qubit
-                ),
+                engine._serve_single_qubit(carriers[:, qubit], qubit, raw=True),
             )
             np.testing.assert_array_equal(
                 raw_result.logits[:, 0],
-                synthetic_fpga_engine.predict_logits_from_raw(
-                    carriers[:, qubit], qubit_index=qubit
+                engine._serve_single_qubit(
+                    carriers[:, qubit], qubit, output="logits", raw=True
                 ),
             )
 
@@ -247,8 +227,13 @@ class TestShimParity:
         view = small_dataset.qubit_view(0)
         traces = np.stack([view.test_traces[:40]] * 2, axis=1)
         result = engine.serve(ReadoutRequest(traces=traces, output="both"))
-        np.testing.assert_array_equal(result.states, engine.discriminate_all(traces))
-        np.testing.assert_array_equal(result.logits, engine.predict_logits_all(traces))
+        for qubit in range(2):
+            np.testing.assert_array_equal(
+                result.states[:, qubit], trained_student.predict_states(traces[:, qubit])
+            )
+            np.testing.assert_array_equal(
+                result.logits[:, qubit], trained_student.predict_logits(traces[:, qubit])
+            )
 
     def test_dequantize_opt_in_through_serve(self, trained_student, small_dataset):
         engine = ReadoutEngine(
@@ -263,8 +248,12 @@ class TestShimParity:
             engine.serve(ReadoutRequest(raw=mixed_carriers))
         served = engine.serve(ReadoutRequest(raw=mixed_carriers, dequantize=True))
         np.testing.assert_array_equal(
-            served.states,
-            engine.discriminate_all_raw(mixed_carriers, dequantize=True),
+            served.states[:, 0],
+            trained_student.predict_states(Q16_16.from_raw(mixed_carriers[:, 0])),
+        )
+        np.testing.assert_array_equal(
+            served.states[:, 1],
+            engine.backends[1].predict_states_from_raw(mixed_carriers[:, 1]),
         )
 
 

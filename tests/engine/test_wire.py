@@ -12,6 +12,7 @@ perturbs a single byte.
 from __future__ import annotations
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -314,6 +315,91 @@ class TestMetricsFrames:
         frame = wire.encode_error(RuntimeError("server on fire"))
         with pytest.raises(RuntimeError, match="server on fire"):
             wire.decode_metrics(frame)
+
+
+def _frame(kind: int, header, payload: bytes = b"") -> bytes:
+    """A well-framed frame around an arbitrary header and payload."""
+    header_bytes = header if isinstance(header, bytes) else json.dumps(header).encode()
+    prefix = wire._PREFIX.pack(
+        wire.MAGIC, wire.WIRE_VERSION, kind, len(header_bytes), len(payload)
+    )
+    return prefix + header_bytes + payload
+
+
+class TestMalformedFrames:
+    """Hostile frames fail as WireFormatError, chained from the cause."""
+
+    def _raw_request(self, shape) -> bytes:
+        """A 640-byte int32 payload (four shots) under a declared ``shape``."""
+        payload = np.arange(4 * 2 * 10 * 2, dtype=np.int32).tobytes()
+        header = {
+            "carrier": "raw",
+            "array": {"dtype": "<i4", "shape": shape},
+            "qubits": None,
+            "output": "states",
+            "dequantize": False,
+            "fmt": None,
+        }
+        return _frame(wire.REQUEST, header, payload)
+
+    def test_declared_shape_round_trips(self):
+        request = wire.decode_request(self._raw_request([4, 2, 10, 2]))
+        assert request.raw.shape == (4, 2, 10, 2)
+
+    def test_negative_dimension_rejected(self):
+        # Read as -160 elements, this used to decode three of the four shots.
+        with pytest.raises(wire.WireFormatError, match="non-negative integers"):
+            wire.decode_request(self._raw_request([-1, 2, 10, 2]))
+
+    def test_non_integer_dimension_rejected(self):
+        with pytest.raises(wire.WireFormatError, match="non-negative integers"):
+            wire.decode_request(self._raw_request([4.0, 2, 10, 2]))
+
+    def test_trailing_payload_bytes_rejected(self):
+        # Two declared shots used to decode and silently drop 320 bytes.
+        with pytest.raises(wire.WireFormatError, match="declares 320"):
+            wire.decode_request(self._raw_request([2, 2, 10, 2]))
+
+    def test_header_only_kinds_carry_no_payload(self):
+        with pytest.raises(wire.WireFormatError, match="payload holds 3 bytes"):
+            wire.decode_info(_frame(wire.INFO, {"info": {}}, b"xyz"))
+
+    @pytest.mark.parametrize(
+        "header", [b'{"x":"\xff"}', b"\xff\xfe{}"], ids=["utf8-in-json", "utf16"]
+    )
+    def test_header_must_be_utf8(self, header):
+        with pytest.raises(wire.WireFormatError, match="not UTF-8 JSON") as err:
+            wire.decode_request(_frame(wire.REQUEST, header))
+        assert isinstance(err.value.__cause__, UnicodeDecodeError)
+
+    @pytest.mark.parametrize("header", [[1, 2], "text", 7, None])
+    def test_header_must_be_a_json_object(self, header):
+        with pytest.raises(wire.WireFormatError, match="JSON object"):
+            wire.decode_reply(_frame(wire.RESULT, header))
+
+    def test_missing_key_is_chained(self):
+        with pytest.raises(wire.WireFormatError, match="KeyError") as err:
+            wire.decode_info(_frame(wire.INFO, {"nfo": {}}))
+        assert isinstance(err.value.__cause__, KeyError)
+
+    def test_bad_dtype_is_chained(self):
+        frame = self._raw_request([4, 2, 10, 2]).replace(b'"<i4"', b'"?i4"')
+        with pytest.raises(wire.WireFormatError) as err:
+            wire.decode_request(frame)
+        assert isinstance(err.value.__cause__, TypeError)
+
+    def test_request_validation_failure_is_chained(self):
+        frame = wire.encode_request(ReadoutRequest(traces=np.zeros((1, 1, 2, 2))))
+        frame = frame.replace(b'"states"', b'"odds!!"')
+        with pytest.raises(wire.WireFormatError, match="output must be") as err:
+            wire.decode_request(frame)
+        assert isinstance(err.value.__cause__, ValueError)
+
+    def test_error_frames_still_raise_the_remote_exception(self):
+        with pytest.raises(IndexError, match="qubit 9"):
+            wire.decode_reply(wire.encode_error(IndexError("qubit 9")))
+        with pytest.raises(wire.WireFormatError, match="KeyError"):
+            wire.decode_reply(_frame(wire.ERROR, {"message": "no type"}))
 
 
 class TestPriorityOnTheWire:

@@ -5,14 +5,13 @@ from __future__ import annotations
 from repro.lint.wirecheck import RULE, WireChecker
 
 
-def _checker(net: str, extra_clients: tuple = ()) -> WireChecker:
+def _checker(net: str) -> WireChecker:
     return WireChecker(
         wire_module="wire/wire.py",
         net_module=f"wire/{net}",
         server_handler=("Server", "_reply_for"),
         client_class="Client",
         non_kind_constants=frozenset({"WIRE_VERSION"}),
-        extra_clients=extra_clients,
     )
 
 
@@ -30,26 +29,6 @@ def test_forgotten_frames_are_flagged(fixture_project):
 def test_complete_dispatch_is_clean(fixture_project):
     project = fixture_project("wire/wire.py", "wire/net_clean.py")
     assert _checker("net_clean.py").run(project) == []
-
-
-def test_every_client_tier_must_decode_every_reply(fixture_project):
-    """The primary client covering a reply kind does not excuse an extra
-    (async) tier that cannot decode it."""
-    project = fixture_project(
-        "wire/wire.py", "wire/net_clean.py", "wire/aio_bad.py"
-    )
-    extra = (("wire/aio_bad.py", "AsyncClient"),)
-    findings = _checker("net_clean.py", extra_clients=extra).run(project)
-    assert len(findings) == 1
-    assert findings[0].rule == RULE
-    assert "SWAP" in findings[0].message
-    assert "AsyncClient" in findings[0].message
-
-
-def test_absent_extra_client_module_disables_that_tier(fixture_project):
-    project = fixture_project("wire/wire.py", "wire/net_clean.py")
-    extra = (("wire/aio_missing.py", "AsyncClient"),)
-    assert _checker("net_clean.py", extra_clients=extra).run(project) == []
 
 
 def test_missing_modules_disable_the_check(fixture_project):

@@ -56,7 +56,7 @@ from repro.service import (
 )
 
 #: Distinct exit code for the CI smoke gate ("network serving broke"),
-#: mirroring the examples gate (4) and the bench regression gate (3).
+#: mirroring the examples gate (4).
 SMOKE_FAILURE_EXIT_CODE = 5
 
 

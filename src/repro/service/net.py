@@ -1394,19 +1394,18 @@ def spawn_server(
     bundle_dir: str | Path,
     host: str = "127.0.0.1",
     port: int = 0,
-    start_method: str | None = None,
 ) -> ServerProcessHandle:
     """Run a :class:`ReadoutServer` in a daemonic child process.
 
     Blocks until the child has bound its socket and reports the address (or
-    failed to load the bundle).  The bench and the loopback smoke tests use
-    this so server and client do not share a GIL.
+    failed to load the bundle).  The loopback tests and examples use this so
+    server and client do not share a GIL.  The child starts with the
+    platform's default :mod:`multiprocessing` start method.
     """
     import multiprocessing
 
-    context = multiprocessing.get_context(start_method)
-    parent_pipe, child_pipe = context.Pipe()
-    process = context.Process(
+    parent_pipe, child_pipe = multiprocessing.Pipe()
+    process = multiprocessing.Process(
         target=_server_process_main,
         args=(str(bundle_dir), host, int(port), child_pipe),
         name="readout-server",

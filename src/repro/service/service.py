@@ -206,8 +206,9 @@ class ReadoutService:
     n_shards:
         ``<= 1`` serves in-process (the bit-identical fallback).
         ``>= 2`` spawns that many worker processes, each loading
-        ``bundle_dir`` and owning a contiguous qubit group.  Requests for
-        more shards than available qubit groups are clamped with a warning.
+        ``bundle_dir`` and serving a contiguous qubit group sequentially
+        (one busy core per shard).  Requests for more shards than available
+        qubit groups are clamped with a warning.
     shard_hosts:
         Remote placement: one entry per qubit group, each a ``"host:port"``
         string, a ``(host, port)`` pair, or a list of such replica
@@ -229,16 +230,6 @@ class ReadoutService:
     max_pending:
         Bound of the ingress queue; :meth:`submit` blocks (backpressure)
         when the queue is full.
-    parallel:
-        ``parallel`` flag forwarded to in-process ``engine.serve`` calls
-        (``None`` = the engine's automatic choice).
-    worker_parallel:
-        Whether shard workers use their engine's thread fan-out on top of
-        process parallelism (off by default: one busy core per shard).
-        Local shards only; a remote server's parallelism is its own setting.
-    start_method:
-        :mod:`multiprocessing` start method for shard workers (``None`` =
-        platform default).
     remote_timeout / connect_timeout:
         Per-request and connection deadlines (seconds) for ``shard_hosts``
         placements.
@@ -313,9 +304,6 @@ class ReadoutService:
         max_batch: int = 32,
         max_wait_ms: float = 2.0,
         max_pending: int = 1024,
-        parallel: bool | None = None,
-        worker_parallel: bool = False,
-        start_method: str | None = None,
         remote_timeout: float = 30.0,
         connect_timeout: float = 5.0,
         retry: RetryPolicy | None = None,
@@ -354,9 +342,6 @@ class ReadoutService:
         self.n_shards = max(1, int(n_shards))
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_ms) / 1000.0
-        self._parallel = parallel
-        self._worker_parallel = bool(worker_parallel)
-        self._start_method = start_method
         self._remote_timeout = float(remote_timeout)
         self._connect_timeout = float(connect_timeout)
         self._retry = retry if retry is not None else RetryPolicy()
@@ -660,12 +645,15 @@ class ReadoutService:
         ``"placements_metrics"`` keyed by address -- unreachable replicas
         report an ``"error"`` entry instead of failing the call.
         """
+        # One read: each read of ``stats`` re-folds the live transport and
+        # pool counters, so the stats, slo and lifecycle blocks must share it.
+        stats = self.stats
         snapshot = self._telemetry.snapshot()
         snapshot.update(
             source="readout-service",
             transport=self._mode,
             placements=self.n_shards,
-            stats=asdict(self.stats),
+            stats=asdict(stats),
             slo={
                 "budget_ms": (
                     None
@@ -677,16 +665,15 @@ class ReadoutService:
                     if self._admission.cost_s is None
                     else self._admission.cost_s * 1e3
                 ),
-                "shed_requests": self.stats.shed_requests,
-                "degraded_admissions": self.stats.degraded_admissions,
+                "shed_requests": stats.shed_requests,
+                "degraded_admissions": stats.degraded_admissions,
             },
         )
-        stats_snapshot = self.stats
         with self._canary_lock:
             rollout = self._canary
         lifecycle: dict = {
-            "active_version": stats_snapshot.active_version or None,
-            "bundle_swaps": stats_snapshot.bundle_swaps,
+            "active_version": stats.active_version or None,
+            "bundle_swaps": stats.bundle_swaps,
             "registry": None if self.registry is None else str(self.registry.root),
         }
         if rollout is not None:
@@ -737,12 +724,7 @@ class ReadoutService:
             if self._started:
                 return self
             if self._mode == "local":
-                self._shards = spawn_local_shards(
-                    self._bundle_dir,
-                    self.shard_groups,
-                    worker_parallel=self._worker_parallel,
-                    start_method=self._start_method,
-                )
+                self._shards = spawn_local_shards(self._bundle_dir, self.shard_groups)
             elif self._mode == "tcp":
                 from repro.service.net import TcpShardTransport
 
@@ -1492,7 +1474,7 @@ class ReadoutService:
         t1 = time.perf_counter()
         # A rollback can race this dispatch; closed engines still serve
         # (sequentially, bit-identically), so the comparison stays valid.
-        candidate = rollout.engine.serve(request, parallel=self._parallel)
+        candidate = rollout.engine.serve(request)
         candidate_s = time.perf_counter() - t1
         mismatch = np.zeros(int(request.payload.shape[0]), dtype=bool)
         if baseline.states is not None and candidate.states is not None:
@@ -1546,7 +1528,7 @@ class ReadoutService:
     ) -> ReadoutResult:
         if not self.sharded:
             started = time.perf_counter()
-            result = self._engine.serve(request, parallel=self._parallel)
+            result = self._engine.serve(request)
             meta = {**result.meta, "shards": 0, "transport": "inprocess"}
             if self._telemetry.enabled:
                 dispatch_s = time.perf_counter() - started

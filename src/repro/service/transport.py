@@ -168,12 +168,7 @@ def _unpack_frame(
 # --------------------------------------------------------------------------
 
 
-def _shard_worker_main(
-    bundle_dir: str,
-    requests,
-    responses,
-    worker_parallel: bool,
-) -> None:
+def _shard_worker_main(bundle_dir: str, requests, responses) -> None:
     """Worker-process loop: load the bundle once, serve sub-requests forever.
 
     Every worker loads the **same artifact bundle** -- the deployment
@@ -183,7 +178,9 @@ def _shard_worker_main(
     selection; the front-end owns the shard-to-group mapping).  Requests and
     responses are wire frames (:mod:`repro.engine.wire`), so this worker
     consumes exactly what a remote :class:`~repro.service.net.ReadoutServer`
-    would.  ``None`` on the request queue shuts the worker down.
+    would.  It serves sequentially, without the engine's thread fan-out:
+    the shards are the parallelism, one busy core each.  ``None`` on the
+    request queue shuts the worker down.
 
     A ``("swap", bundle_dir)`` descriptor is the hot-swap control message
     (the queue-pair analogue of the TCP ``SWAP_REQUEST`` frame): the worker
@@ -225,7 +222,7 @@ def _shard_worker_main(
                 frame, segment = _unpack_frame(descriptor)
                 request = wire.decode_request(frame)
                 wire_meta = wire.decode_request_wire_meta(frame)
-                result = engine.serve(request, parallel=worker_parallel)
+                result = engine.serve(request, parallel=False)
                 # Echo the envelope's trace keys so the front-end can prove
                 # the id crossed the process boundary with the request.
                 trace_keys = {
@@ -278,7 +275,7 @@ class LocalProcessTransport:
         process: multiprocessing.Process,
         requests,
         responses,
-        spawn_args: dict | None = None,
+        bundle_dir: str | None = None,
     ) -> None:
         self.shard_index = shard_index
         self.qubits = list(qubits)
@@ -286,10 +283,10 @@ class LocalProcessTransport:
         self.process = process
         self.requests = requests
         self.responses = responses
-        #: What :func:`spawn_local_shards` used to start the worker; kept so
-        #: a supervisor can :meth:`respawn` a dead worker from the same
+        #: The bundle :func:`spawn_local_shards` started the worker on; kept
+        #: so a supervisor can :meth:`respawn` a dead worker from the same
         #: bundle.  ``None`` disables respawning (hand-built transports).
-        self._spawn_args = spawn_args
+        self._bundle_dir = bundle_dir
         self.respawns = 0
         self._inflight: dict[int, shared_memory.SharedMemory] = {}
         self._closed = False
@@ -394,8 +391,8 @@ class LocalProcessTransport:
                 f"job {job_id} was expected; the shard protocol is out of sync"
             )
         info = wire.decode_swap(reply)
-        if self._spawn_args is not None:
-            self._spawn_args["bundle_dir"] = str(bundle_dir)
+        if self._bundle_dir is not None:
+            self._bundle_dir = str(bundle_dir)
         return info
 
     def is_alive(self) -> bool:
@@ -405,7 +402,7 @@ class LocalProcessTransport:
     @property
     def can_respawn(self) -> bool:
         """Whether :meth:`respawn` can rebuild this placement from its bundle."""
-        return self._spawn_args is not None and not self._closed
+        return self._bundle_dir is not None and not self._closed
 
     def respawn(self) -> None:
         """Replace a dead worker with a fresh one loading the same bundle.
@@ -422,7 +419,7 @@ class LocalProcessTransport:
                 f"Shard {self.shard_index} transport is closed; respawn() "
                 "after close() is a protocol violation"
             )
-        if self._spawn_args is None:
+        if self._bundle_dir is None:
             raise RuntimeError(
                 f"Shard {self.shard_index} transport was not built by "
                 "spawn_local_shards and cannot respawn"
@@ -432,17 +429,11 @@ class LocalProcessTransport:
         self.process.join(5.0)
         for job_id in list(self._inflight):
             self._release(job_id)
-        context = multiprocessing.get_context(self._spawn_args["start_method"])
-        self.requests = context.Queue()
-        self.responses = context.Queue()
-        self.process = context.Process(
+        self.requests = multiprocessing.Queue()
+        self.responses = multiprocessing.Queue()
+        self.process = multiprocessing.Process(
             target=_shard_worker_main,
-            args=(
-                self._spawn_args["bundle_dir"],
-                self.requests,
-                self.responses,
-                self._spawn_args["worker_parallel"],
-            ),
+            args=(self._bundle_dir, self.requests, self.responses),
             name=f"readout-shard-{self.shard_index}",
             daemon=True,
         )
@@ -474,26 +465,22 @@ class LocalProcessTransport:
 def spawn_local_shards(
     bundle_dir: str | Path,
     shard_groups: list[list[int]],
-    worker_parallel: bool = False,
-    start_method: str | None = None,
 ) -> list[LocalProcessTransport]:
     """Start one worker process per qubit group, each loading ``bundle_dir``.
 
-    ``start_method`` selects the :mod:`multiprocessing` start method
-    (``None`` = platform default; ``"spawn"`` is the safe choice inside
-    heavily threaded hosts).  Workers are daemonic so an abandoned service
-    cannot outlive its interpreter.
+    Workers start with the platform's default :mod:`multiprocessing` start
+    method and are daemonic, so an abandoned service cannot outlive its
+    interpreter.
     """
-    context = multiprocessing.get_context(start_method)
     transports: list[LocalProcessTransport] = []
     for shard_index, qubits in enumerate(shard_groups):
         # Full Queues (not SimpleQueues): collect() needs timed gets to poll
         # worker liveness instead of blocking forever on a dead process.
-        requests = context.Queue()
-        responses = context.Queue()
-        process = context.Process(
+        requests = multiprocessing.Queue()
+        responses = multiprocessing.Queue()
+        process = multiprocessing.Process(
             target=_shard_worker_main,
-            args=(str(bundle_dir), requests, responses, worker_parallel),
+            args=(str(bundle_dir), requests, responses),
             name=f"readout-shard-{shard_index}",
             daemon=True,
         )
@@ -505,11 +492,7 @@ def spawn_local_shards(
                 process=process,
                 requests=requests,
                 responses=responses,
-                spawn_args={
-                    "bundle_dir": str(bundle_dir),
-                    "worker_parallel": worker_parallel,
-                    "start_method": start_method,
-                },
+                bundle_dir=str(bundle_dir),
             )
         )
     return transports

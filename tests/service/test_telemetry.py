@@ -24,6 +24,7 @@ from repro.service import (
     ReadoutService,
     RemoteEngineClient,
     STAGES,
+    ServiceStats,
     TelemetryRecorder,
     spawn_server,
 )
@@ -418,11 +419,17 @@ class TestAdmission:
         The predictor admits a request only when depth x cost fits the
         budget, so an accepted request's *measured* queue wait should stay
         within a small multiple of the budget (the slack covers cost-EWMA
-        drift and scheduler noise on a loaded CI box) -- while without
-        shedding the same flood queues up unboundedly many entries.
+        drift and scheduler noise on a loaded CI box) -- while an unbounded
+        twin sheds nothing and lets the same flood queue up, so its accepted
+        p99 wait ends far above the bounded one (about 4-20x on 2 vCPUs).
         """
         budget_ms = 25.0
         request = ReadoutRequest(raw=service_carriers[:2])
+
+        def p99_queue_ms(results) -> float:
+            waits = sorted(result.meta["stage_ms"]["queue"] for result in results)
+            return waits[int(0.99 * (len(waits) - 1))]
+
         with ReadoutService(
             engine=service_engine,
             max_batch=1,
@@ -442,11 +449,16 @@ class TestAdmission:
         assert shed > 0
         assert stats.shed_requests == shed
         assert len(results) + shed == 300
-        queue_waits = sorted(
-            result.meta["stage_ms"]["queue"] for result in results
-        )
-        p99 = queue_waits[int(0.99 * (len(queue_waits) - 1))]
+        p99 = p99_queue_ms(results)
         assert p99 <= budget_ms * 5.0
+
+        with ReadoutService(
+            engine=service_engine, max_batch=1, max_wait_ms=0.0
+        ) as unbounded:
+            flooded = [unbounded.submit(request) for _ in range(300)]
+            unbounded_results = [future.result() for future in flooded]
+            assert unbounded.stats.shed_requests == 0
+        assert p99 < p99_queue_ms(unbounded_results)
 
 
 # --------------------------------------------------------------------------
@@ -522,3 +534,30 @@ class TestAtomicStats:
             assert parked.result().n_shots == 2
         finally:
             service.close()
+
+    def test_metrics_blocks_share_one_stats_snapshot(
+        self, service_engine, monkeypatch
+    ):
+        """A shed or swap between two reads of ``stats`` must not tear
+        ``metrics()``: its stats, slo and lifecycle blocks agree even when
+        every read of ``stats`` returns newer counters."""
+        reads = iter(range(1, 1_000))
+
+        def advancing(_service) -> ServiceStats:
+            n = next(reads)
+            return ServiceStats(
+                shed_requests=n,
+                degraded_admissions=n,
+                bundle_swaps=n,
+                active_version=f"v{n:04d}",
+            )
+
+        with ReadoutService(engine=service_engine, autostart=False) as service:
+            monkeypatch.setattr(ReadoutService, "stats", property(advancing))
+            snapshot = service.metrics()
+            monkeypatch.undo()
+        stats = snapshot["stats"]
+        assert snapshot["slo"]["shed_requests"] == stats["shed_requests"]
+        assert snapshot["slo"]["degraded_admissions"] == stats["degraded_admissions"]
+        assert snapshot["lifecycle"]["bundle_swaps"] == stats["bundle_swaps"]
+        assert snapshot["lifecycle"]["active_version"] == stats["active_version"]

@@ -17,8 +17,8 @@ This example reproduces the paper's hardware story in software:
    the bundle round trip,
 5. put a ``ReadoutService`` front-end over the reloaded engine and push many
    small concurrent requests through it: the service coalesces them into
-   micro-batches (and can shard qubit groups across worker processes with
-   ``n_shards >= 2``), bit-identical to direct ``serve()`` calls,
+   micro-batches (and can shard qubit groups across readout servers with
+   ``shard_hosts=[...]``), bit-identical to direct ``serve()`` calls,
 6. print the latency (clock-cycle) and resource (LUT/FF/DSP) estimates for
    both student configurations, next to the values reported in Table III.
 
@@ -134,8 +134,9 @@ def main() -> None:
         # Heavy traffic is many small concurrent requests, not one offline
         # batch.  ReadoutService coalesces them on a bounded queue and
         # dispatches micro-batches through the same serve() path (with
-        # n_shards >= 2 it would shard qubit groups across worker processes,
-        # each loading the bundle saved above).
+        # shard_hosts=[...] it would shard qubit groups across ReadoutServers,
+        # each loading the bundle saved above; examples/network_serving.py
+        # runs that placement on loopback).
         chunk = 16
         requests = [
             ReadoutRequest(raw=carriers[start : start + chunk])

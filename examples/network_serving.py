@@ -128,7 +128,7 @@ def run() -> None:
                 shard_hosts=hosts, max_batch=16, max_wait_ms=5.0, remote_timeout=60.0
             ) as service:
                 print(f"ReadoutService placed qubit groups {service.shard_groups} "
-                      f"on {service.n_shards} hosts over "
+                      f"on {service.stats.placements} hosts over "
                       f"{service.transport_name!r}")
                 chunk = 8
                 futures = [

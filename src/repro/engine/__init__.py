@@ -22,11 +22,11 @@ everything downstream of training talks to:
   a directory.
 * :mod:`repro.engine.wire` -- the versioned, length-prefixed binary codec
   every serving boundary speaks: requests/results round-trip bit-exactly
-  and remote errors re-raise with local types, whether the bytes cross a
-  worker pipe or a TCP socket (:mod:`repro.service`).
+  over a TCP socket and remote errors re-raise with local types
+  (:mod:`repro.service`).
 
 For traffic-level concerns -- micro-batching many small concurrent requests
-and sharding qubit groups across worker processes -- see
+and sharding qubit groups across readout servers -- see
 :class:`repro.service.ReadoutService`, which consumes the same request
 objects.
 

@@ -1,12 +1,12 @@
 """The one wire codec of the serving system.
 
-Every serving boundary that is not a plain function call -- the shard pipe
-between :class:`~repro.service.ReadoutService` and its worker processes, and
-the TCP socket between :class:`~repro.service.net.RemoteEngineClient` and a
-:class:`~repro.service.net.ReadoutServer` -- speaks the same versioned,
-length-prefixed binary frames defined here.  One codec means a request
-encoded for a local worker is byte-for-byte the request a cross-host server
-would receive, so moving a shard from a pipe to a socket changes *where* the
+Every serving boundary that is not a plain function call -- the TCP socket
+between a :class:`~repro.service.net.ReadoutServer` and either a
+:class:`~repro.service.net.RemoteEngineClient` or one shard of a
+:class:`~repro.service.ReadoutService` -- speaks the same versioned,
+length-prefixed binary frames defined here.  One codec means a request a
+shard sends is byte-for-byte the request a client would send, so moving a
+qubit group from a loopback server to another host changes *where* the
 bytes go, never *what* they mean.
 
 Frame layout (all integers big-endian)::
@@ -211,9 +211,9 @@ def _frame_chunks(
     """One frame as a list of buffers (prefix, header, then each array).
 
     The chunked form exists so bulk payloads cross their final boundary with
-    a single copy: a shared-memory transport writes the chunks straight into
-    the segment, and ``b"".join`` assembles a contiguous frame with one copy
-    when a plain ``bytes`` is needed.
+    a single copy: the server hands reply chunks to the socket as they are
+    (the arrays as the encoder's memoryviews), and ``b"".join`` assembles a
+    contiguous frame with one copy when a plain ``bytes`` is needed.
     """
     header_bytes = json.dumps(header, default=_json_default).encode("utf-8")
     arrays = [
@@ -391,10 +391,10 @@ def encode_request_chunks(
 ) -> list:
     """A request frame as buffers (prefix, header, payload) -- see :func:`_frame_chunks`.
 
-    For transports that can scatter-write (a shared-memory segment, a
-    vectored socket send): the bulk carrier crosses its boundary with one
-    copy instead of being flattened into an intermediate ``bytes`` first.
-    Concatenated, the chunks are exactly :func:`encode_request`'s frame.
+    For senders that can scatter-write (a vectored socket send): the bulk
+    carrier crosses its boundary with one copy instead of being flattened
+    into an intermediate ``bytes`` first.  Concatenated, the chunks are
+    exactly :func:`encode_request`'s frame.
 
     ``wire_meta`` rides in the header outside the request proper -- the
     transport-level envelope (idempotent ``request_id`` for retry dedup,
@@ -656,7 +656,7 @@ def decode_swap(frame) -> dict:
 def decode_reply(frame) -> ReadoutResult:
     """Decode a serving reply: a RESULT frame, or an ERROR frame to re-raise.
 
-    This is the one call every transport's collect path makes, so local and
+    This is the one call every remote collect path makes, so local and
     remote failures surface identically.
     """
     kind = frame_kind(frame)

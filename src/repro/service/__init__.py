@@ -1,26 +1,29 @@
-"""Traffic-level serving: micro-batching, local sharding, network serving.
+"""Traffic-level serving: micro-batching and network serving.
 
 Where :mod:`repro.engine` answers one request at a time,
 :class:`ReadoutService` is the front-end heavy traffic talks to: it accepts
 many small concurrent :class:`~repro.engine.request.ReadoutRequest`\\ s,
 coalesces compatible ones into micro-batches on a bounded queue, and
-dispatches to one of three placements -- in-process (bit-identical to
-``engine.serve()``), qubit shards on local worker processes, or qubit
-shards on remote :class:`~repro.service.net.ReadoutServer`\\ s over one
+dispatches to one of two placements -- in-process (bit-identical to
+``engine.serve()``), or qubit shards on
+:class:`~repro.service.net.ReadoutServer`\\ s over one
 :class:`~repro.service.net.TcpShardTransport` per shard (a single address
-or a list of replicas) -- all speaking the one wire codec
+or a list of replicas), speaking the one wire codec
 (:mod:`repro.engine.wire`)::
 
     from repro.engine import ReadoutRequest
     from repro.service import ReadoutService
 
-    with ReadoutService(bundle_dir="artifacts/readout-v1", n_shards=2) as service:
+    with ReadoutService(bundle_dir="artifacts/readout-v1") as service:
         futures = [service.submit(ReadoutRequest(raw=chunk)) for chunk in chunks]
         states = [future.result().states for future in futures]
 
     # across hosts (each running `python -m repro.service.net <bundle>`):
     #   ReadoutService(shard_hosts=["10.0.0.5:7777", "10.0.0.6:7777"])
-    # replicated, self-healing (failover + respawn + health probing):
+    # worker processes on one host: loopback servers as shard_hosts
+    #   handles = [spawn_server(bundle_dir) for _ in range(2)]
+    #   ReadoutService(shard_hosts=[handle.address for handle in handles])
+    # replicated, self-healing (failover + health probing):
     #   ReadoutService(
     #       shard_hosts=[["10.0.0.5:7777", "10.0.0.7:7777"],
     #                    ["10.0.0.6:7777", "10.0.0.8:7777"]],
@@ -29,20 +32,19 @@ or a list of replicas) -- all speaking the one wire codec
     # asyncio front-ends:  result = await service.aserve(request)
 
 See :mod:`repro.service.service` for the batching/dispatch mechanics,
-:mod:`repro.service.transport` for the shard-transport protocol and the
-local worker-process implementation, :mod:`repro.service.net` for the TCP
-tier (the one asyncio server, the one client, and the shard transport
-with replica failover), :mod:`repro.service.retry` /
-:mod:`repro.service.health` for the retry policy and health-checked host
-pool, :mod:`repro.service.faults` for the fault-injection harness that
-keeps the self-healing paths honest, :mod:`repro.service.lifecycle` for
-the zero-downtime model lifecycle -- the versioned
-:class:`BundleRegistry`, the staging :class:`RegistryWatcher`, and the
-canary-rollout machinery behind ``service.swap_bundle()`` /
-``promote()`` / ``rollback()`` -- and :mod:`repro.service.telemetry`
-for the traffic-tier observability layer -- per-request trace ids,
-per-stage latency histograms (``service.metrics()``, the METRICS wire
-frame, ``python -m repro.service.telemetry host:port``), and SLO-bounded
+:mod:`repro.service.net` for the TCP tier (the one asyncio server, the one
+client, and the shard transport with replica failover),
+:mod:`repro.service.retry` / :mod:`repro.service.health` for the retry
+policy and health-checked host pool, :mod:`repro.service.faults` for the
+fault-injection harness that keeps the self-healing paths honest,
+:mod:`repro.service.lifecycle` for the zero-downtime model lifecycle --
+the versioned :class:`BundleRegistry`, the staging
+:class:`RegistryWatcher`, and the canary-rollout machinery behind
+``service.swap_bundle()`` / ``promote()`` / ``rollback()`` -- and
+:mod:`repro.service.telemetry` for the traffic-tier observability layer --
+per-request trace ids, per-stage latency histograms
+(``service.metrics()``, the METRICS wire frame,
+``python -m repro.service.telemetry host:port``), and SLO-bounded
 admission control (``slo_budget_ms=...``).
 """
 
@@ -73,12 +75,6 @@ from repro.service.telemetry import (
     LatencyHistogram,
     TelemetryRecorder,
     new_trace_id,
-)
-from repro.service.transport import (
-    LocalProcessTransport,
-    ShardTransport,
-    WorkerDiedError,
-    spawn_local_shards,
 )
 from repro.service.net import (
     AllReplicasDownError,
@@ -115,10 +111,6 @@ __all__ = [
     "LatencyHistogram",
     "TelemetryRecorder",
     "new_trace_id",
-    "ShardTransport",
-    "LocalProcessTransport",
-    "WorkerDiedError",
-    "spawn_local_shards",
     "ReadoutServer",
     "RemoteEngineClient",
     "TcpShardTransport",

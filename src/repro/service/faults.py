@@ -7,14 +7,14 @@ schedule that drives them:
 * :class:`FaultSchedule` -- the seeded script.  Faults are drawn either
   from an explicit plan (consumed in order -- what the fault-matrix tests
   use, so a scenario is its action list) or from per-action probabilities
-  with a seeded generator (what the chaos benchmark uses).  Every draw is
-  counted, so a test can assert the faults it asked for actually fired.
-* :class:`ChaosTransport` -- wraps any
-  :class:`~repro.service.transport.ShardTransport` and injects *placement*
-  faults at the submit/collect boundary: kill the worker process, drop the
-  active TCP connection, delay the call.  The wrapped transport is still
-  the one doing the work, so recovery exercises the real supervisor and
-  failover paths.
+  with a seeded generator (so a randomized run replays exactly).  Every
+  draw is counted, so a test can assert the faults it asked for actually
+  fired.
+* :class:`ChaosTransport` -- wraps a
+  :class:`~repro.service.net.TcpShardTransport` and injects *placement*
+  faults at the submit/collect boundary: drop the active connection, delay
+  the call.  The wrapped transport is still the one doing the work, so
+  recovery exercises the real failover path.
 * :class:`ChaosProxy` -- a frame-aware TCP proxy in front of a real
   :class:`~repro.service.net.ReadoutServer`.  Clients dial the proxy; each
   connection and each reply consults the schedule, so one proxy expresses
@@ -23,9 +23,9 @@ schedule that drives them:
   deadline, connections dropped without an answer.
 
 None of this is test-only convenience code in disguise: the headline
-guarantee of the resilience layer -- kill a shard worker and a TCP
-placement mid-load and every request still completes bit-identical -- is
-only a guarantee because these injectors make "mid-load" reproducible.
+guarantee of the resilience layer -- kill replicas of two TCP shards
+mid-load and every request still completes bit-identical -- is only a
+guarantee because these injectors make "mid-load" reproducible.
 """
 
 from __future__ import annotations
@@ -116,22 +116,17 @@ class FaultSchedule:
 
 
 class ChaosTransport:
-    """A :class:`ShardTransport` wrapper that injures its inner transport.
+    """A :class:`~repro.service.net.TcpShardTransport` wrapper that injures it.
 
     Actions drawn from the schedule at each :meth:`submit` / :meth:`collect`:
 
     - ``"pass"`` -- delegate untouched;
     - ``"delay"`` -- sleep ``delay_s`` first (queueing jitter);
-    - ``"kill"`` -- kill the worker process (local transports), so the
-      *next* collect sees the death the supervisor must heal;
-    - ``"drop"`` -- drop the active TCP connection (networked transports),
-      so the next receive fails over.
+    - ``"drop"`` -- drop the active connection, so the next receive fails
+      over.
 
-    An action the inner transport cannot express (killing a TCP placement's
-    nonexistent process, dropping a local pipe) degrades to the nearest
-    expressible one, so one scenario script drives either placement.
-    Everything else -- the shard protocol, ``is_alive``, respawn -- is the
-    inner transport's, untouched.
+    Everything else -- the shard protocol, ``is_alive``, the failover
+    counters -- is the inner transport's, untouched.
     """
 
     def __init__(self, inner, schedule: FaultSchedule, *, delay_s: float = 0.01):
@@ -147,30 +142,10 @@ class ChaosTransport:
         if action == "delay":
             time.sleep(self.delay_s)
             return
-        if action == "kill":
-            process = getattr(self.inner, "process", None)
-            if process is not None:
-                process.kill()
-                process.join(5.0)
-            else:
-                self._drop_active()
-            return
         if action == "drop":
-            if not self._drop_active():
-                process = getattr(self.inner, "process", None)
-                if process is not None:
-                    process.kill()
-                    process.join(5.0)
+            self.inner._conns[self.inner.address].drop()
             return
         raise ValueError(f"Unknown fault action {action!r}")
-
-    def _drop_active(self) -> bool:
-        conns = getattr(self.inner, "_conns", None)
-        active = getattr(self.inner, "_active", None)
-        if conns is None or active not in conns:
-            return False
-        conns[active].drop()
-        return True
 
     # -------------------------------------------------------------- protocol
     @property
@@ -192,8 +167,8 @@ class ChaosTransport:
         self.inner.close(timeout)
 
     def __getattr__(self, name: str):
-        # qubits / qubit_set / shard_index / respawn / counters / ...:
-        # the wrapper is transparent for everything it does not injure.
+        # qubits / qubit_set / shard_index / counters / swap / ...: the
+        # wrapper is transparent for everything it does not injure.
         return getattr(self.inner, name)
 
 

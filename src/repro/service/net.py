@@ -17,10 +17,10 @@ socket:
   (:class:`TransportError` and friends) for network failures, while *remote
   serving* failures re-raise with the same exception types and messages as
   local serving (the codec ships them as structured error frames).
-* :class:`TcpShardTransport` -- a :class:`~repro.service.transport.ShardTransport`
-  over such connections, so ``ReadoutService(shard_hosts=[...])`` places
-  its qubit shards on remote :class:`ReadoutServer`\\ s -- one address or a
-  list of replicas per shard, failing over under a retry policy -- with
+* :class:`TcpShardTransport` -- the service's one shard transport over
+  such connections, so ``ReadoutService(shard_hosts=[...])`` places its
+  qubit shards on :class:`ReadoutServer`\\ s -- one address or a list of
+  replicas per shard, failing over under a retry policy -- with
   micro-batching, backpressure, and stats working unchanged.
 
 Run a server from the command line (the bundle is the one
@@ -1049,18 +1049,20 @@ class RemoteEngineClient:
 
 
 class TcpShardTransport:
-    """A :class:`~repro.service.transport.ShardTransport` over TCP, with failover.
+    """The shard transport: one qubit shard over TCP, with replica failover.
 
-    One qubit shard placed on one or more interchangeable
+    One qubit shard of a :class:`~repro.service.ReadoutService`, placed on
+    one or more interchangeable
     :class:`ReadoutServer`\\ s that have loaded the same bundle.
     ``addresses`` is any ``shard_hosts`` entry -- ``"host:port"``,
     ``(host, port)``, or a list of replicas
     (:func:`~repro.service.sharding.replica_addresses`).  Exactly one
     replica -- the **active** one -- carries traffic at a time, and the
-    server answers each connection's frames strictly in order, so the
-    per-shard FIFO protocol the front-end relies on holds across the network
-    exactly as it does across a pipe.  Job ids are tracked locally (the wire does not
-    carry them) and checked on collect so a protocol bug fails loudly.
+    server answers each connection's frames strictly in order, so
+    ``submit``/``collect`` are FIFO per shard: the front-end's batcher is
+    the only producer/consumer, and the n-th collect answers the n-th
+    submit.  Job ids are tracked locally (the wire does not carry them) and
+    checked on collect so a protocol bug fails loudly.
 
     When the active replica fails (connection lost, refused, mid-frame
     truncation, or a reply slower than the per-try deadline) and the

@@ -4,36 +4,32 @@ A :class:`ReadoutService` is what heavy traffic talks to.  Where the engine
 answers one :class:`~repro.engine.request.ReadoutRequest` at a time, the
 service accepts many small concurrent requests, coalesces compatible ones
 into micro-batches on a bounded queue (``max_batch`` requests, ``max_wait_ms``
-linger), and dispatches each batch to one of three placements:
+linger), and dispatches each batch to one of two placements:
 
 * **in-process** -- straight through ``engine.serve()``, the fallback that
   is bit-identical to calling the engine directly (it *is* the engine,
   served one coalesced batch at a time);
-* **local shards** -- split by qubit columns across worker processes
-  (``n_shards >= 2``) that each load the same artifact bundle and serve
-  their qubit group through the same ``serve()`` path
-  (:class:`~repro.service.transport.LocalProcessTransport`);
-* **remote shards** -- the same split across hosts (``shard_hosts=[...]``),
-  each group placed on one :class:`~repro.service.net.ReadoutServer` or a
-  list of replicas through a :class:`~repro.service.net.TcpShardTransport`.
+* **TCP shards** -- split by qubit columns (``shard_hosts=[...]``), each
+  group placed on one :class:`~repro.service.net.ReadoutServer` or a list
+  of replicas through a :class:`~repro.service.net.TcpShardTransport`
+  speaking the one wire codec (:mod:`repro.engine.wire`).  The servers may
+  be other hosts or loopback processes on this one
+  (:func:`~repro.service.net.spawn_server`).
 
-The batching layer never knows which: every placement is a
-:class:`~repro.service.transport.ShardTransport` speaking the one wire codec
-(:mod:`repro.engine.wire`), and columns reassemble on the way out, so every
-placement is bit-identical to one engine serving the whole request.
+Columns reassemble on the way out, so both placements are bit-identical to
+one engine serving the whole request.
 
 Micro-batching is exact, not approximate: shots are independent through the
 whole datapath (the emulator chunks internally; every per-shot result is
 computed from that shot alone), so serving a concatenation and slicing the
-rows back apart reproduces per-request serving bit-for-bit.  Tests pin all
-three placements against the golden fixed-point snapshot.
+rows back apart reproduces per-request serving bit-for-bit.  Tests pin both
+placements against the golden fixed-point snapshot.
 """
 
 from __future__ import annotations
 
 import itertools
 import queue
-import random
 import threading
 import time
 import warnings
@@ -51,7 +47,9 @@ from repro.engine.request import (
     ReadoutResult,
     validate_multiplexed_payload,
 )
+from repro.service.health import HostPool
 from repro.service.lifecycle import BundleRegistry, CanaryReport, CanaryRollout
+from repro.service.net import RemoteEngineClient, TcpShardTransport, TransportError
 from repro.service.retry import RetryPolicy
 from repro.service.sharding import partition_qubits, replica_addresses
 from repro.service.telemetry import (
@@ -59,11 +57,6 @@ from repro.service.telemetry import (
     AdmissionError,
     TelemetryRecorder,
     new_trace_id,
-)
-from repro.service.transport import (
-    ShardTransport,
-    WorkerDiedError,
-    spawn_local_shards,
 )
 
 __all__ = ["ReadoutService", "ServiceStats"]
@@ -112,16 +105,14 @@ class ServiceStats:
     ``requests_served > batches`` (or a non-zero ``coalesced_requests``)
     is direct evidence micro-batching engaged.  ``transport`` /
     ``placements`` / ``backend`` describe where dispatches go
-    (``"inprocess"`` with one placement, ``"local"`` worker processes, or
-    ``"tcp"`` remote servers) -- the same observability fields every
+    (``"inprocess"`` with one placement, or ``"tcp"`` servers with one
+    placement per qubit group) -- the same observability fields every
     :class:`~repro.engine.request.ReadoutResult` carries in its ``meta``.
 
     The resilience counters record every self-healing event: ``failovers``
-    (a replicated TCP shard switched replica), ``worker_respawns`` (a dead
-    local worker process was restarted), ``redispatches`` (an in-flight
-    micro-batch was resubmitted after a respawn), ``degraded_requests``
-    (requests answered with a recorded gap because every replica of a
-    shard was down and ``degraded_ok=True``), and ``hosts_ejected`` /
+    (a TCP shard switched replica), ``degraded_requests`` (requests
+    answered with a recorded gap because every replica of a shard was down
+    and ``degraded_ok=True``), and ``hosts_ejected`` /
     ``hosts_readmitted`` (health-pool membership changes).  All stay zero
     on a healthy deployment -- a non-zero value is direct evidence the
     corresponding recovery path ran.
@@ -152,8 +143,6 @@ class ServiceStats:
     largest_batch_shots: int = 0
     cancelled_requests: int = 0
     failovers: int = 0
-    worker_respawns: int = 0
-    redispatches: int = 0
     degraded_requests: int = 0
     hosts_ejected: int = 0
     hosts_readmitted: int = 0
@@ -195,32 +184,30 @@ class ReadoutService:
     ----------
     engine:
         A live :class:`ReadoutEngine` to serve in-process.  Mutually
-        exclusive with sharded mode (worker processes and remote servers
-        cannot inherit a live engine; they load the bundle).
+        exclusive with ``shard_hosts`` (remote servers cannot inherit a live
+        engine; they load the bundle).
     bundle_dir:
-        An artifact bundle directory (:meth:`ReadoutEngine.save`).  Required
-        for local sharding (``n_shards >= 2``); with ``n_shards <= 1`` the
-        service loads the bundle into an in-process engine itself.  With
-        ``shard_hosts`` it is optional (used for the partition hints; when
-        omitted the first host is asked for its deployment info instead).
-    n_shards:
-        ``<= 1`` serves in-process (the bit-identical fallback).
-        ``>= 2`` spawns that many worker processes, each loading
-        ``bundle_dir`` and serving a contiguous qubit group sequentially
-        (one busy core per shard).  Requests for more shards than available
-        qubit groups are clamped with a warning.
+        An artifact bundle directory (:meth:`ReadoutEngine.save`).  Without
+        ``shard_hosts`` the service loads it into an in-process engine.
+        With ``shard_hosts`` it is optional (used for the partition hints;
+        when omitted the first host is asked for its deployment info
+        instead).
     shard_hosts:
-        Remote placement: one entry per qubit group, each a ``"host:port"``
+        TCP placement: one entry per qubit group, each a ``"host:port"``
         string, a ``(host, port)`` pair, or a list of such replica
         addresses, naming running :class:`~repro.service.net.ReadoutServer`\\ s
         that have each loaded the same bundle.  Every group is placed on one
         :class:`~repro.service.net.TcpShardTransport`; micro-batching,
-        backpressure, and stats work unchanged.
+        backpressure, and stats work unchanged.  For worker processes on
+        one host, start loopback servers
+        (:func:`~repro.service.net.spawn_server` or
+        ``python -m repro.service.net``) and pass their addresses here --
+        two replicas per shard for self-healing.
     shard_groups:
-        Explicit qubit groups (one list per shard) overriding the balanced
-        partition derived from the manifest's shard-layout hints.  Empty
-        groups are dropped with a warning (an empty shard would be an idle
-        worker).
+        Explicit qubit groups (one list per ``shard_hosts`` entry) overriding
+        the balanced partition derived from the manifest's shard-layout
+        hints.  Empty groups are dropped with a warning (an empty shard
+        would be an idle placement).
     max_batch:
         Most requests coalesced into one dispatch.
     max_wait_ms:
@@ -236,11 +223,9 @@ class ReadoutService:
     retry:
         A :class:`~repro.service.retry.RetryPolicy` enabling self-healing:
         TCP shards fail over across their replicas under it (a frame
-        reaches servers at most ``attempts`` times), and dead local workers
-        are respawned and their in-flight micro-batch re-dispatched within
-        the same attempt budget.  ``None`` makes single-address placements
-        fail fast (the first failure surfaces), while replica lists in
-        ``shard_hosts`` still get a default policy.
+        reaches servers at most ``attempts`` times).  ``None`` makes
+        single-address placements fail fast (the first failure surfaces),
+        while replica lists in ``shard_hosts`` still get a default policy.
     degraded_ok:
         Opt in to partial answers: when every replica of a shard stays down
         past the retry budget, requests resolve with the healthy shards'
@@ -253,13 +238,9 @@ class ReadoutService:
         (INFO-frame round trips through a
         :class:`~repro.service.health.HostPool`).  ``0`` (default) disables
         the prober; the pool still learns from request-path evidence.
-    eject_after / readmit_after:
-        Consecutive failure/success counts at which the host pool ejects
-        and re-admits a replica.
     failover_seed:
-        Seed for the backoff jitter of failover/redispatch loops, so fault
-        tests replay an exact schedule.  ``None`` (default) is wall-clock
-        random.
+        Seed for the backoff jitter of failover loops, so fault tests
+        replay an exact schedule.  ``None`` (default) is wall-clock random.
     slo_budget_ms:
         Bounded-latency mode: when the *predicted* queue wait of a new
         request (entries ahead of it times an EWMA of per-request dispatch
@@ -298,7 +279,6 @@ class ReadoutService:
         engine: ReadoutEngine | None = None,
         bundle_dir: str | Path | None = None,
         *,
-        n_shards: int = 1,
         shard_hosts: list | None = None,
         shard_groups: list[list[int]] | None = None,
         max_batch: int = 32,
@@ -309,8 +289,6 @@ class ReadoutService:
         retry: RetryPolicy | None = None,
         degraded_ok: bool = False,
         probe_interval_s: float = 0.0,
-        eject_after: int = 2,
-        readmit_after: int = 2,
         failover_seed: int | None = None,
         slo_budget_ms: float | None = None,
         slo_initial_cost_ms: float | None = None,
@@ -339,7 +317,6 @@ class ReadoutService:
                 bundle_dir = registry.resolve()
             else:
                 raise ValueError("ReadoutService needs an engine or a bundle_dir")
-        self.n_shards = max(1, int(n_shards))
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_ms) / 1000.0
         self._remote_timeout = float(remote_timeout)
@@ -347,10 +324,7 @@ class ReadoutService:
         self._retry = retry if retry is not None else RetryPolicy()
         self._degraded_ok = bool(degraded_ok)
         self._probe_interval_s = float(probe_interval_s)
-        self._eject_after = int(eject_after)
-        self._readmit_after = int(readmit_after)
         self._failover_seed = failover_seed
-        self._rng = random.Random(failover_seed)
         self._autostart = bool(autostart)
         self._bundle_dir = None if bundle_dir is None else Path(bundle_dir)
         self.shard_hosts = list(shard_hosts) if shard_hosts else None
@@ -374,7 +348,17 @@ class ReadoutService:
         self._engine: ReadoutEngine | None = None
         self._owns_engine = False
         self._backend_kind = ""
-        if self.shard_hosts is not None:
+        if self.shard_hosts is None:
+            mode = "inprocess"
+            shard_groups = None  # grouping is meaningless without shards
+            if engine is not None:
+                self._engine = engine
+            else:
+                self._engine = ReadoutEngine.load(self._bundle_dir)
+                self._owns_engine = True
+            self._n_qubits = self._engine.n_qubits
+            self._backend_kind = self._engine.backend_kind
+        else:
             mode = "tcp"
             if engine is not None:
                 raise ValueError(
@@ -382,72 +366,28 @@ class ReadoutService:
                     "pass shard_hosts (and optionally bundle_dir for the "
                     "partition hints) instead of a live engine"
                 )
-            if n_shards > 1 and n_shards != len(self.shard_hosts):
-                raise ValueError(
-                    f"n_shards={n_shards} conflicts with "
-                    f"{len(self.shard_hosts)} shard_hosts; pass one or the other"
-                )
-            self.n_shards = len(self.shard_hosts)
-        elif self.n_shards >= 2:
-            mode = "local"
-            if engine is not None:
-                raise ValueError(
-                    "Sharded serving loads the artifact bundle in every worker "
-                    "process; pass bundle_dir=... instead of a live engine"
-                )
-            if self._bundle_dir is None:
-                raise ValueError("n_shards >= 2 requires bundle_dir")
-        else:
-            mode = "inprocess"
-            shard_groups = None  # grouping is meaningless without workers
-
-        if mode != "inprocess":
-            layout = self._deployment_layout()
-            # Clamping is warned about once, phrased in terms of the
-            # parameter the caller actually passed: n_shards for local
-            # sharding, the host list for remote placement (below).
-            shard_groups = self._plan_groups(
-                shard_groups, layout, warn_clamp=mode == "local"
-            )
-            if mode == "local" and len(shard_groups) < 2:
-                # Partitioning collapsed to one shard (fewer atomic groups
-                # than requested shards): a lone worker process buys nothing,
-                # so fall through to the bit-identical in-process mode.  A
-                # lone *remote* placement is kept -- the engine lives on the
-                # other host either way.
-                shard_groups = None
-                mode = "inprocess"
-        if mode == "inprocess":
-            self.n_shards = 1
-            if engine is not None:
-                self._engine = engine
-                self._n_qubits = engine.n_qubits
-            else:
-                self._engine = ReadoutEngine.load(self._bundle_dir)
-                self._owns_engine = True
-                self._n_qubits = self._engine.n_qubits
-            self._backend_kind = self._engine.backend_kind
-        else:
-            self.n_shards = len(shard_groups)
-            if mode == "tcp" and self.n_shards > len(self.shard_hosts):
+            shard_groups = self._plan_groups(shard_groups, self._deployment_layout())
+            if len(shard_groups) > len(self.shard_hosts):
                 # A group without a host would silently never be served (and
                 # its result columns would be uninitialized memory).
                 raise ValueError(
-                    f"{self.n_shards} shard groups need {self.n_shards} "
+                    f"{len(shard_groups)} shard groups need {len(shard_groups)} "
                     f"shard_hosts, got {len(self.shard_hosts)}"
                 )
-            if mode == "tcp" and self.n_shards < len(self.shard_hosts):
+            if len(shard_groups) < len(self.shard_hosts):
                 warnings.warn(
                     f"{len(self.shard_hosts)} shard_hosts exceed the "
-                    f"{self.n_shards} available qubit groups; the extra hosts "
-                    "are left unused",
+                    f"{len(shard_groups)} available qubit groups; the extra "
+                    "hosts are left unused",
                     stacklevel=2,
                 )
-                self.shard_hosts = self.shard_hosts[: self.n_shards]
-                self.shard_replicas = self.shard_replicas[: self.n_shards]
+                self.shard_hosts = self.shard_hosts[: len(shard_groups)]
+                self.shard_replicas = self.shard_replicas[: len(shard_groups)]
         self._mode = mode
         self.shard_groups = shard_groups
-        self._shards: list[ShardTransport] = []
+        #: Dispatch placements: one in-process engine, or one per shard.
+        self._placements = 1 if shard_groups is None else len(shard_groups)
+        self._shards: list[TcpShardTransport] = []
 
         # A priority queue carrying (rank, seq, entry): feedback preempts
         # bulk, the shutdown sentinel sorts behind both so a queued backlog
@@ -466,7 +406,7 @@ class ReadoutService:
         self._stats_lock = threading.Lock()
         self._stats = ServiceStats(
             transport=mode,
-            placements=self.n_shards,
+            placements=self._placements,
             backend=self._backend_kind,
             active_version=initial_version,
         )
@@ -506,8 +446,6 @@ class ReadoutService:
                 "n_qubits": int(manifest["n_qubits"]),
                 "qubit_groups": manifest.get("shard_layout", {}).get("qubit_groups"),
             }
-        from repro.service.net import RemoteEngineClient
-
         # Any replica of the first shard can answer the deployment question;
         # a dead first replica must not block planning when a live one exists.
         last_error: Exception | None = None
@@ -531,24 +469,15 @@ class ReadoutService:
         }
 
     def _plan_groups(
-        self,
-        shard_groups: list[list[int]] | None,
-        layout: dict,
-        warn_clamp: bool = True,
+        self, shard_groups: list[list[int]] | None, layout: dict
     ) -> list[list[int]]:
         self._n_qubits = layout["n_qubits"]
         if shard_groups is None:
-            groups = partition_qubits(
-                self._n_qubits, self.n_shards, atomic_groups=layout["qubit_groups"]
+            return partition_qubits(
+                self._n_qubits,
+                len(self.shard_hosts),
+                atomic_groups=layout["qubit_groups"],
             )
-            if warn_clamp and len(groups) < self.n_shards:
-                warnings.warn(
-                    f"n_shards={self.n_shards} exceeds the {len(groups)} "
-                    f"available qubit groups; clamped to {len(groups)} shards "
-                    "(an empty shard would be an idle worker)",
-                    stacklevel=3,
-                )
-            return groups
         flat = sorted(q for group in shard_groups for q in group)
         if flat != list(range(self._n_qubits)):
             raise ValueError(
@@ -558,7 +487,7 @@ class ReadoutService:
         if any(not group for group in shard_groups):
             warnings.warn(
                 f"shard_groups contains empty groups ({shard_groups}); "
-                "dropping them (an empty shard would be an idle worker)",
+                "dropping them (an empty shard would be an idle placement)",
                 stacklevel=3,
             )
             shard_groups = [group for group in shard_groups if group]
@@ -577,7 +506,7 @@ class ReadoutService:
 
     @property
     def transport_name(self) -> str:
-        """How dispatches travel: ``"inprocess"``, ``"local"``, or ``"tcp"``."""
+        """How dispatches travel: ``"inprocess"`` or ``"tcp"``."""
         return self._mode
 
     @property
@@ -589,19 +518,15 @@ class ReadoutService:
         mix counters from two different updates -- and being frozen with
         scalar fields, it cannot leak mutable live state to the caller.
         The resilience counters are folded in live from the shard
-        transports (failovers, respawns) and the host pool (ejections,
+        transports (failovers) and the host pool (ejections,
         re-admissions); :meth:`close` freezes their final values into the
         snapshot.
         """
         with self._stats_lock:
             stats = self._stats
-        failovers = stats.failovers
-        respawns = stats.worker_respawns
-        for shard in self._shards:
-            counters = getattr(shard, "counters", None)
-            if counters:
-                failovers += int(counters.get("failovers", 0))
-            respawns += int(getattr(shard, "respawns", 0))
+        failovers = stats.failovers + sum(
+            shard.counters["failovers"] for shard in self._shards
+        )
         ejected = stats.hosts_ejected
         readmitted = stats.hosts_readmitted
         if self._pool is not None:
@@ -610,7 +535,6 @@ class ReadoutService:
         return replace(
             stats,
             failovers=failovers,
-            worker_respawns=respawns,
             hosts_ejected=ejected,
             hosts_readmitted=readmitted,
         )
@@ -652,7 +576,7 @@ class ReadoutService:
         snapshot.update(
             source="readout-service",
             transport=self._mode,
-            placements=self.n_shards,
+            placements=self._placements,
             stats=asdict(stats),
             slo={
                 "budget_ms": (
@@ -682,8 +606,6 @@ class ReadoutService:
         if self._pool is not None:
             snapshot["host_pool"] = self._pool.state()
         if include_remotes and self._mode == "tcp" and not self._closed:
-            from repro.service.net import RemoteEngineClient
-
             remotes: dict = {}
             for replicas in self.shard_replicas:
                 for address in replicas:
@@ -713,7 +635,7 @@ class ReadoutService:
 
     # -------------------------------------------------------------- lifecycle
     def start(self) -> "ReadoutService":
-        """Spawn the shard transports (if any) and the batcher thread.
+        """Connect the shard transports (if any) and start the batcher thread.
 
         Idempotent; called automatically on the first :meth:`submit` unless
         ``autostart=False``.
@@ -723,20 +645,10 @@ class ReadoutService:
                 raise RuntimeError("ReadoutService is closed")
             if self._started:
                 return self
-            if self._mode == "local":
-                self._shards = spawn_local_shards(self._bundle_dir, self.shard_groups)
-            elif self._mode == "tcp":
-                from repro.service.net import TcpShardTransport
-
+            if self._mode == "tcp":
                 if self._replicated:
-                    from repro.service.health import HostPool
-
-                    self._pool = HostPool(
-                        probe_interval_s=self._probe_interval_s,
-                        eject_after=self._eject_after,
-                        readmit_after=self._readmit_after,
-                    )
-                shards: list[ShardTransport] = []
+                    self._pool = HostPool(probe_interval_s=self._probe_interval_s)
+                shards: list[TcpShardTransport] = []
                 try:
                     for index, (replicas, group) in enumerate(
                         zip(self.shard_replicas, self.shard_groups)
@@ -776,11 +688,11 @@ class ReadoutService:
         return self
 
     def close(self) -> None:
-        """Stop serving: drain nothing further, fail pending requests, reap workers.
+        """Stop serving: drain nothing further, fail pending requests, disconnect.
 
         Idempotent.  A user-supplied engine is left open (the caller owns
-        it); a bundle-loaded engine and all shard placements are shut down
-        (remote servers keep running -- only the connections close).
+        it); a bundle-loaded engine is closed and every shard connection is
+        dropped (the servers keep running).
         """
         with self._lifecycle_lock:
             if self._closed:
@@ -788,9 +700,9 @@ class ReadoutService:
             self._closed = True
             started = self._started
         # Raise the closing flag *before* joining the batcher: an in-flight
-        # failover/redispatch loop observes it at its next backoff step and
-        # aborts (failing its futures) instead of burning the full retry
-        # budget while close() waits on the join.
+        # failover loop observes it at its next dial and aborts (failing its
+        # futures) instead of burning the full retry budget while close()
+        # waits on the join.
         self._closing.set()
         if started:
             self._queue.put((_SHUTDOWN_RANK, next(self._seq), _SHUTDOWN))
@@ -879,8 +791,7 @@ class ReadoutService:
         -- loaded and checksum-verified beforehand -- flips atomically.
         Every request dispatched before the flip is answered bit-identically
         by the old engine, every one after by the new (in-process directly;
-        local shard workers via the ``("swap", ...)`` control message; TCP
-        placements via the ``SWAP_REQUEST`` wire frame, pinned to this
+        TCP placements via the ``SWAP_REQUEST`` wire frame, pinned to this
         bundle's id).  A candidate that fails to load raises here and
         changes nothing -- the old engine keeps serving.
 
@@ -936,9 +847,7 @@ class ReadoutService:
             if self._closed:
                 raise RuntimeError("ReadoutService is closed")
             if not self._started:
-                # No batcher, nothing in flight: flip right here.  Local and
-                # TCP placements have no shards yet either -- they pick the
-                # new bundle_dir up when start() spawns them.
+                # No batcher, nothing in flight: flip right here.
                 return self._apply_swap(name, bundle_id, directory, engine)
         barrier = _SwapBarrier(
             lambda: self._apply_swap(name, bundle_id, directory, engine)
@@ -961,12 +870,12 @@ class ReadoutService:
 
         Per placement: in-process adopts a freshly loaded engine (or the
         already-loaded canary candidate on promote) and closes the old one;
-        local shard workers swap through the queue-pair control message;
-        TCP placements through SWAP_REQUEST frames pinned to ``bundle_id``.
-        A load failure raises *before* anything changed in-process; for
-        sharded placements the failing shard keeps its old engine and the
-        error surfaces to the swap caller with earlier shards already
-        swapped -- re-issue the swap (idempotent) or swap back to recover.
+        TCP placements swap through SWAP_REQUEST frames pinned to
+        ``bundle_id``.  A load failure raises *before* anything changed
+        in-process; for TCP placements the failing shard keeps its old
+        engine and the error surfaces to the swap caller with earlier shards
+        already swapped -- re-issue the swap (idempotent) or swap back to
+        recover.
         """
         if self._mode == "inprocess":
             candidate = engine if engine is not None else ReadoutEngine.load(directory)
@@ -984,12 +893,7 @@ class ReadoutService:
                 # sharded placements load their own copy from the bundle.
                 engine.close()
             for shard in self._shards:
-                if self._mode == "local":
-                    self._revive(shard)
-                    self._next_job_id += 1
-                    shard.swap(self._next_job_id, directory)
-                else:
-                    shard.swap(str(directory), expected_bundle_id=bundle_id)
+                shard.swap(str(directory), expected_bundle_id=bundle_id)
         self._bundle_dir = directory
         with self._stats_lock:
             self._stats = replace(
@@ -1004,7 +908,7 @@ class ReadoutService:
             "bundle_id": bundle_id,
             "bundle_dir": str(directory),
             "transport": self._mode,
-            "placements": self.n_shards,
+            "placements": self._placements,
         }
 
     def canary_report(self) -> CanaryReport | None:
@@ -1388,7 +1292,7 @@ class ReadoutService:
             batch_shots = int(batch.shape[0])
             degraded = len(group) if batch_result.meta.get("degraded") else 0
         # One lock-guarded replace *after* dispatch: the dispatch itself may
-        # have bumped resilience counters (redispatches) that a pre-dispatch
+        # have bumped counters (the canary comparison's) that a pre-dispatch
         # snapshot would silently roll back.
         with self._stats_lock:
             stats = self._stats
@@ -1462,11 +1366,11 @@ class ReadoutService:
 
         The baseline answer travels the normal placement (shards and all);
         the candidate serves the same batch in-process on the front-end,
-        which works identically for in-process, local-shard, and TCP
-        deployments.  The caller receives the **candidate's** arrays (the
-        canary is real traffic exposure, not shadow logging) with the
-        baseline's meta and a ``"canary"`` record; disagreement counts and
-        both latencies accumulate in the rollout for :meth:`canary_report`.
+        which works identically for in-process and TCP deployments.  The
+        caller receives the **candidate's** arrays (the canary is real
+        traffic exposure, not shadow logging) with the baseline's meta and a
+        ``"canary"`` record; disagreement counts and both latencies
+        accumulate in the rollout for :meth:`canary_report`.
         """
         t0 = time.perf_counter()
         baseline = self._dispatch(request, trace_ids)
@@ -1557,8 +1461,7 @@ class ReadoutService:
         Each shard receives only its columns of the payload (sliced, hence
         copied -- exactly the bytes that cross the transport boundary) with
         the matching explicit ``qubits`` selection, so the placed engine
-        computes the same per-qubit results the in-process path would --
-        whether the transport is a local worker pipe or a TCP socket.
+        computes the same per-qubit results the in-process path would.
         """
         start = time.perf_counter()
         selected = (
@@ -1567,7 +1470,7 @@ class ReadoutService:
             else list(request.qubits)
         )
         payload = request.payload
-        plan: list[tuple[ShardTransport, list[int]]] = []
+        plan: list[tuple[TcpShardTransport, list[int]]] = []
         for shard in self._shards:
             columns = [
                 column for column, qubit in enumerate(selected)
@@ -1577,15 +1480,14 @@ class ReadoutService:
                 plan.append((shard, columns))
         self._next_job_id += 1
         job_id = self._next_job_id
-        submitted: list[tuple[ShardTransport, list[int]]] = []
-        sub_requests: dict[int, ReadoutRequest] = {}
-        # A failed submit (every replica down, /dev/shm exhausted, ...) no
-        # longer aborts the dispatch on the spot: the failure is carried to
-        # the same degrade-or-raise decision the collect failures reach, and
-        # the successfully submitted shards are *always* collected first --
-        # an uncollected response would desynchronize the per-shard FIFO
+        submitted: list[tuple[TcpShardTransport, list[int]]] = []
+        # A failed submit (every replica of the shard down) does not abort
+        # the dispatch on the spot: the failure is carried to the same
+        # degrade-or-raise decision the collect failures reach, and the
+        # successfully submitted shards are *always* collected first -- an
+        # uncollected response would desynchronize the per-shard FIFO
         # protocol for the next request.
-        failures: list[tuple[list[int], ShardTransport, Exception]] = []
+        failures: list[tuple[list[int], TcpShardTransport, Exception]] = []
         # The trace ids ride the wire meta of every shard's REQUEST frame
         # (and every failover resend of it), so the placed server can echo
         # them back -- the propagation proof the trace tests pin.
@@ -1600,9 +1502,7 @@ class ReadoutService:
                 payload[:, columns],
                 qubits=tuple(selected[column] for column in columns),
             )
-            sub_requests[id(shard)] = sub_request
             try:
-                self._revive(shard)
                 shard.submit(job_id, sub_request, wire_meta)
             except Exception as exc:  # noqa: BLE001 - degraded or re-raised
                 failures.append((columns, shard, exc))
@@ -1625,9 +1525,7 @@ class ReadoutService:
         max_compute_s = 0.0
         for shard, columns in submitted:
             try:
-                shard_result = self._collect_resilient(
-                    shard, job_id, sub_requests[id(shard)], wire_meta
-                )
+                shard_result = shard.collect(job_id)
             except Exception as exc:  # noqa: BLE001 - degraded or re-raised
                 failures.append((columns, shard, exc))
                 continue
@@ -1684,48 +1582,6 @@ class ReadoutService:
         )
 
     # ------------------------------------------------------------- resilience
-    def _revive(self, shard: ShardTransport) -> None:
-        """Respawn a local worker found dead before it is handed new work."""
-        if getattr(shard, "can_respawn", False) and not shard.is_alive():
-            shard.respawn()
-
-    def _collect_resilient(
-        self,
-        shard: ShardTransport,
-        job_id: int,
-        sub_request: ReadoutRequest,
-        wire_meta: dict | None = None,
-    ) -> ReadoutResult:
-        """Collect one shard's answer, healing a dead local worker in place.
-
-        Replica failover lives inside the TCP transport (it owns the
-        pending frames); worker *respawn* lives here because rebuilding the
-        process needs the sub-request to re-dispatch.  Both are bounded by
-        the same retry policy.  The re-dispatch carries the same
-        ``wire_meta`` as the original submit, so trace ids survive respawn
-        exactly as they survive replica failover.
-        """
-        try:
-            return shard.collect(job_id)
-        except WorkerDiedError as exc:
-            if not getattr(shard, "can_respawn", False):
-                raise
-            last = exc
-            for attempt in range(2, self._retry.attempts + 1):
-                if self._closing.is_set():
-                    raise last
-                delay = self._retry.delay(attempt, self._rng)
-                if delay:
-                    time.sleep(delay)
-                try:
-                    shard.respawn()
-                    shard.submit(job_id, sub_request, wire_meta)
-                    self._bump(redispatches=1)
-                    return shard.collect(job_id)
-                except WorkerDiedError as retry_exc:
-                    last = retry_exc
-            raise last
-
     def _degrade(
         self,
         failures: list,
@@ -1736,17 +1592,12 @@ class ReadoutService:
     ) -> dict:
         """Fill the failed shards' columns or re-raise, per ``degraded_ok``.
 
-        Degradation is reserved for *placement* failures (dead workers,
-        every replica down) with at least one healthy shard and a service
-        that is not closing; anything else -- a deterministic serving error,
-        a fully dark deployment -- surfaces as the failure it is.
+        Degradation is reserved for *placement* failures (every replica of
+        a shard down) with at least one healthy shard and a service that is
+        not closing; anything else -- a deterministic serving error, a fully
+        dark deployment -- surfaces as the failure it is.
         """
-        from repro.service.net import TransportError
-
-        recoverable = all(
-            isinstance(exc, (TransportError, WorkerDiedError))
-            for _, _, exc in failures
-        )
+        recoverable = all(isinstance(exc, TransportError) for _, _, exc in failures)
         if (
             not self._degraded_ok
             or not recoverable
@@ -1787,7 +1638,7 @@ class ReadoutService:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = (
-            f"{self.n_shards} {self._mode} shards" if self.sharded else "in-process"
+            f"{self._placements} {self._mode} shards" if self.sharded else "in-process"
         )
         return (
             f"ReadoutService(n_qubits={self._n_qubits}, {mode}, "

@@ -10,10 +10,8 @@ same inputs.
 
 This module owns the *partitioning* question (which qubits live on which
 shard) and the shape of one ``shard_hosts`` placement entry; *how* a
-sub-request reaches a shard is a transport concern -- see
-:mod:`repro.service.transport` for the protocol and the local
-worker-process implementation, and :mod:`repro.service.net` for the TCP
-one.
+sub-request reaches a shard is the transport's concern -- see
+:class:`repro.service.net.TcpShardTransport`.
 """
 
 from __future__ import annotations

@@ -275,7 +275,7 @@ class TestShardLayout:
         import warnings
 
         from repro.engine import ReadoutRequest
-        from repro.service import ReadoutService
+        from repro.service import ReadoutServer, ReadoutService
 
         self._strip_shard_layout(fpga_bundle)
         reference = synthetic_fpga_engine.serve(
@@ -285,7 +285,13 @@ class TestShardLayout:
             warnings.simplefilter("error")
             with ReadoutService(bundle_dir=fpga_bundle) as in_process:
                 served = in_process.serve(ReadoutRequest(traces=synthetic_traces))
-            with ReadoutService(bundle_dir=fpga_bundle, n_shards=2) as sharded:
+            with ReadoutServer(fpga_bundle) as first, ReadoutServer(
+                fpga_bundle
+            ) as second, ReadoutService(
+                bundle_dir=fpga_bundle,
+                shard_hosts=[first.address, second.address],
+                remote_timeout=60.0,
+            ) as sharded:
                 assert sharded.shard_groups == [[0, 1], [2]]
                 sharded_result = sharded.serve(
                     ReadoutRequest(traces=synthetic_traces)

@@ -1,7 +1,7 @@
 """Fault-injection tests: the self-healing serving stack under scripted chaos.
 
-Every scenario here follows the same shape: inject a seeded fault (dead
-worker, refused connection, mid-frame truncation, reply slower than the
+Every scenario here follows the same shape: inject a seeded fault (dropped
+connection, refused connection, mid-frame truncation, reply slower than the
 deadline, killed placement), let the stack recover on its own, and then
 assert the strongest property the repo has -- the answers are
 **bit-identical** to direct ``ReadoutEngine.serve()`` -- plus that the
@@ -30,7 +30,7 @@ from repro.service import (
     RetryPolicy,
     TcpShardTransport,
     TransportConnectError,
-    WorkerDiedError,
+    TransportError,
     spawn_server,
 )
 
@@ -58,9 +58,9 @@ def proxied_transport(proxy: ChaosProxy, retry: RetryPolicy = FAST_RETRY):
 
 class TestFaultSchedule:
     def test_plan_is_consumed_in_order_then_default(self):
-        schedule = FaultSchedule(["kill", "pass", "drop"])
+        schedule = FaultSchedule(["stall", "pass", "drop"])
         assert [schedule.next() for _ in range(5)] == [
-            "kill",
+            "stall",
             "pass",
             "drop",
             "pass",
@@ -72,10 +72,10 @@ class TestFaultSchedule:
     def test_rates_are_seeded_and_reproducible(self):
         draws = []
         for _ in range(2):
-            schedule = FaultSchedule(rates={"kill": 0.3}, seed=5)
+            schedule = FaultSchedule(rates={"stall": 0.3}, seed=5)
             draws.append([schedule.next() for _ in range(20)])
         assert draws[0] == draws[1]
-        assert "kill" in draws[0] and "pass" in draws[0]
+        assert "stall" in draws[0] and "pass" in draws[0]
 
     def test_event_names_are_counted(self):
         schedule = FaultSchedule(["truncate"])
@@ -84,111 +84,45 @@ class TestFaultSchedule:
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError, match="rate"):
-            FaultSchedule(rates={"kill": 1.5})
-
-
-class TestSupervisorRespawn:
-    """Tentpole: dead local workers are respawned, in-flight work re-dispatched."""
-
-    def test_scheduled_kill_heals_bit_identically(
-        self, service_bundle, service_engine, service_carriers
-    ):
-        direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
-        schedule = FaultSchedule(["kill"])  # first touch of shard 0 kills it
-        with ReadoutService(
-            bundle_dir=service_bundle,
-            n_shards=2,
-            retry=FAST_RETRY,
-            failover_seed=3,
-        ) as service:
-            service._shards[0] = ChaosTransport(service._shards[0], schedule)
-            result = service.serve(ReadoutRequest(raw=service_carriers))
-            np.testing.assert_array_equal(result.states, direct.states)
-            assert "degraded" not in result.meta
-            stats = service.stats
-        # The kill fired, the supervisor respawned the worker, and the
-        # in-flight micro-batch was re-dispatched -- all on the record.
-        assert schedule.counters["kill"] == 1
-        assert stats.worker_respawns >= 1
-        assert stats.redispatches >= 1
-
-    def test_worker_dead_between_batches_is_revived_before_submit(
-        self, service_bundle, service_engine, service_carriers
-    ):
-        direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
-        with ReadoutService(
-            bundle_dir=service_bundle, n_shards=2, retry=FAST_RETRY
-        ) as service:
-            assert service.serve(
-                ReadoutRequest(raw=service_carriers)
-            ).n_shots == direct.n_shots
-            victim = service._shards[0]
-            victim.process.kill()
-            victim.process.join(10.0)
-            assert not victim.is_alive()
-            result = service.serve(ReadoutRequest(raw=service_carriers))
-            np.testing.assert_array_equal(result.states, direct.states)
-            np.testing.assert_array_equal(result.logits, direct.logits)
-            assert victim.respawns == 1
-            assert service.stats.worker_respawns == 1
-
-    def test_crash_looping_worker_exhausts_budget_and_surfaces(
-        self, tmp_path, service_bundle
-    ):
-        """A worker that dies on every respawn must fail the request with the
-        worker-death error after the retry budget, not loop forever."""
-        import shutil
-
-        broken = tmp_path / "crash-loop"
-        shutil.copytree(service_bundle, broken)
-        next(broken.glob("qubit0/*.npz")).write_bytes(b"garbage")
-        with ReadoutService(
-            bundle_dir=broken,
-            n_shards=2,
-            retry=RetryPolicy(attempts=2, backoff_base_s=0.01, jitter_s=0.0),
-        ) as service:
-            future = service.submit(
-                ReadoutRequest(raw=np.zeros((2, 3, 40, 2), dtype=np.int32))
-            )
-            with pytest.raises(WorkerDiedError, match="worker died"):
-                future.result(timeout=120)
-            assert service.stats.redispatches >= 1
+            FaultSchedule(rates={"stall": 1.5})
 
 
 class TestCloseRace:
     def test_close_during_redispatch_neither_hangs_nor_strands_futures(
-        self, tmp_path, service_bundle
+        self, chaos_server, service_bundle
     ):
-        """Regression: close() used to wait for the full retry budget while
-        the batcher ground through respawn attempts of a crash-looping
-        worker.  The closing flag must abort the loop at its next step and
-        the in-flight future must resolve exactly once -- never hang."""
-        import shutil
-
-        broken = tmp_path / "close-race"
-        shutil.copytree(service_bundle, broken)
-        next(broken.glob("qubit0/*.npz")).write_bytes(b"garbage")
-        service = ReadoutService(
-            bundle_dir=broken,
-            n_shards=2,
-            # A budget big enough that burning it through would take ~100s:
-            # only the closing-flag abort can make close() return promptly.
-            retry=RetryPolicy(attempts=20, backoff_base_s=4.0, jitter_s=0.0),
-        )
-        try:
-            future = service.submit(
-                ReadoutRequest(raw=np.zeros((2, 3, 40, 2), dtype=np.int32))
+        """close() must not wait for the retry budget while the batcher
+        fails a shard over and over: every reply stalls past the per-try
+        deadline, so spending the budget would take two minutes.  The
+        closing flag must abort the failover at its next dial, and the
+        in-flight future must resolve exactly once, with the abort error."""
+        schedule = FaultSchedule(default="stall")
+        with ChaosProxy(chaos_server.address, schedule, stall_s=600.0) as proxy:
+            service = ReadoutService(
+                bundle_dir=service_bundle,
+                shard_hosts=[proxy.address],
+                retry=RetryPolicy(
+                    attempts=120, try_timeout_s=1.0, backoff_base_s=0.0, jitter_s=0.0
+                ),
             )
-            time.sleep(1.0)  # let the batcher reach the redispatch loop
-            started = time.monotonic()
-            service.close()
-            elapsed = time.monotonic() - started
-            assert elapsed < 30.0, f"close() took {elapsed:.1f}s"
-            assert future.done()
-            with pytest.raises(RuntimeError):
-                future.result(timeout=0)
-        finally:
-            service.close()
+            try:
+                future = service.submit(
+                    ReadoutRequest(raw=np.zeros((2, 3, 40, 2), dtype=np.int32))
+                )
+                resolutions: list = []
+                future.add_done_callback(resolutions.append)
+                time.sleep(1.5)  # let the batcher reach the failover loop
+                started = time.monotonic()
+                service.close()
+                elapsed = time.monotonic() - started
+                assert elapsed < 30.0, f"close() took {elapsed:.1f}s"
+                assert future.done()
+                with pytest.raises(TransportError, match="closing"):
+                    future.result(timeout=0)
+                assert len(resolutions) == 1
+            finally:
+                service.close()
+            assert proxy.counters["stalled"] >= 1
 
 
 class TestFaultMatrix:
@@ -224,6 +158,28 @@ class TestFaultMatrix:
         # The upstream served job 2 before the proxy dropped the reply: the
         # resend must be answered from the reply cache, not recomputed.
         assert chaos_server.deduplicated_replies >= 1
+
+    def test_transport_side_drop_fails_over_bit_identically(
+        self, chaos_server, service_engine, service_carriers
+    ):
+        """ChaosTransport drops the active connection between submit and
+        collect: the collect fails over and resends the unanswered frame."""
+        direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
+        schedule = FaultSchedule(["pass", "drop"])  # submit passes, collect drops
+        transport = ChaosTransport(
+            TcpShardTransport(
+                0, [0, 1, 2], chaos_server.address, retry=FAST_RETRY, seed=11
+            ),
+            schedule,
+        )
+        try:
+            transport.submit(1, ReadoutRequest(raw=service_carriers))
+            result = transport.collect(1)
+        finally:
+            transport.close()
+        np.testing.assert_array_equal(result.states, direct.states)
+        assert schedule.counters["collect:drop"] == 1
+        assert transport.counters == {"failovers": 1, "resubmissions": 1}
 
     def test_mid_frame_truncation_recovers(
         self, chaos_server, service_engine, service_carriers
@@ -458,8 +414,9 @@ class TestDegradedMode:
 
 
 class TestChaosHeadline:
-    """The pinned guarantee: kill a shard worker process AND a TCP placement
-    mid-load; every request completes bit-identical to direct serve()."""
+    """The pinned guarantee: kill one shard's replica process AND shut the
+    other shard's replica mid-load; every request completes bit-identical
+    to direct serve()."""
 
     def test_replicated_service_survives_dual_kill_under_load(
         self, service_bundle, service_engine, service_carriers

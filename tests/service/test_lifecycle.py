@@ -33,6 +33,7 @@ from repro.service import (
     RegistryError,
     RegistryWatcher,
     RemoteEngineClient,
+    TransportError,
     spawn_server,
 )
 from repro.service.lifecycle import STAGING_DIR_NAME
@@ -305,22 +306,6 @@ class TestHotSwap:
         assert snapshot["lifecycle"]["bundle_swaps"] == 1
         assert snapshot["counters"]["bundle_swaps"] == 1
 
-    def test_local_shard_swap_under_concurrent_load(
-        self, loaded_registry, service_engine, engine_v2, service_carriers
-    ):
-        request = ReadoutRequest(raw=service_carriers, output="both")
-        ref_v1 = _reference(service_engine, request)
-        ref_v2 = _reference(engine_v2, request)
-        with ReadoutService(
-            registry=loaded_registry,
-            bundle_dir=loaded_registry.resolve("v0001"),
-            n_shards=2,
-        ) as service:
-            _swap_under_load(service, loaded_registry, request, ref_v1, ref_v2)
-            # The swapped bundle survives a worker respawn.
-            post = service.serve(request)
-        np.testing.assert_array_equal(post.logits, ref_v2[1])
-
     def test_tcp_swap_under_concurrent_load(
         self, loaded_registry, service_engine, engine_v2, service_carriers
     ):
@@ -394,7 +379,7 @@ class TestHotSwap:
     def test_sharded_failed_candidate_keeps_workers_serving(
         self, service_bundle, bundle_v2, service_engine, service_carriers, tmp_path
     ):
-        """A worker that cannot load the candidate keeps its old engine."""
+        """A server that cannot load the candidate keeps its old engine."""
         import shutil
 
         request = ReadoutRequest(raw=service_carriers, output="logits")
@@ -403,9 +388,16 @@ class TestHotSwap:
         shutil.copytree(bundle_v2, corrupt)
         manifest = json.loads((corrupt / MANIFEST_NAME).read_text())
         (corrupt / sorted(manifest["files"])[0]).write_bytes(b"junk")
-        with ReadoutService(bundle_dir=service_bundle, n_shards=2) as service:
-            with pytest.raises(ValueError, match="[Cc]hecksum"):
+        with ReadoutServer(service_bundle) as first, ReadoutServer(
+            service_bundle
+        ) as second, ReadoutService(
+            bundle_dir=service_bundle,
+            shard_hosts=[first.address, second.address],
+            remote_timeout=60.0,
+        ) as service:
+            with pytest.raises(TransportError, match="[Cc]hecksum"):
                 service.swap_bundle(bundle_dir=corrupt)
+            assert service.stats.bundle_swaps == 0
             result = service.serve(request)
         np.testing.assert_array_equal(result.logits, ref)
 

@@ -663,7 +663,7 @@ class TestRemoteShardedService:
             ) as service:
                 assert service.sharded
                 assert service.transport_name == "tcp"
-                assert service.n_shards == 2
+                assert service.stats.placements == 2
                 direct = service_engine.serve(
                     ReadoutRequest(raw=service_carriers, output="both")
                 )
@@ -724,7 +724,7 @@ class TestRemoteShardedService:
             with ReadoutService(
                 shard_hosts=[handle.address], remote_timeout=60.0
             ) as service:
-                assert service.sharded and service.n_shards == 1
+                assert service.sharded and service.stats.placements == 1
                 result = service.serve(ReadoutRequest(raw=service_carriers[:8]))
                 np.testing.assert_array_equal(
                     result.states,
@@ -804,14 +804,6 @@ class TestRemoteShardedService:
         with pytest.raises(ValueError, match="shard_hosts"):
             ReadoutService(engine=service_engine, shard_hosts=[DEAD_ADDRESS])
 
-    def test_conflicting_n_shards_rejected(self, service_bundle):
-        with pytest.raises(ValueError, match="conflicts"):
-            ReadoutService(
-                bundle_dir=service_bundle,
-                n_shards=3,
-                shard_hosts=[DEAD_ADDRESS, DEAD_ADDRESS],
-            )
-
     def test_more_groups_than_hosts_rejected(self, service_bundle):
         """An unplaced qubit group must be a loud error, never silent columns
         of uninitialized memory."""
@@ -838,7 +830,8 @@ class TestRemoteShardedService:
                     remote_timeout=60.0,
                 )
             with service:
-                assert service.n_shards == 1  # the dead extra host is never dialed
+                # The dead extra host is never dialed.
+                assert service.stats.placements == 1
                 result = service.serve(
                     ReadoutRequest(raw=service_carriers[:4, [0]])
                 )
@@ -868,6 +861,10 @@ class TestGoldenThroughTcp:
             with RemoteEngineClient(*handle.address, timeout=60.0) as client:
                 result = client.serve(request)
             with ReadoutService(
+                shard_hosts=[handle.address], remote_timeout=60.0
+            ) as service:
+                single = service.serve(request)
+            with ReadoutService(
                 shard_hosts=[handle.address, handle.address], remote_timeout=60.0
             ) as service:
                 sharded = service.serve(request)
@@ -881,7 +878,9 @@ class TestGoldenThroughTcp:
                 replicated = service.serve(request)
         finally:
             handle.close()
-        for logits in (result.logits, sharded.logits, replicated.logits):
+        for logits in (
+            result.logits, single.logits, sharded.logits, replicated.logits
+        ):
             np.testing.assert_array_equal(logits[:, 0], expected)
             np.testing.assert_array_equal(logits[:, 1], expected)
         engine.close()

@@ -2,11 +2,16 @@
 
 The two load-bearing guarantees:
 
-* the **in-process fallback** (and micro-batch coalescing) is bit-identical
-  to calling ``engine.serve()`` directly, and
-* **process-sharded** serving (workers each loading the same artifact
-  bundle) reassembles exactly the same arrays, pinned against the golden
-  fixed-point snapshot.
+* the **in-process** placement (and micro-batch coalescing) is
+  bit-identical to calling ``engine.serve()`` directly, pinned against the
+  golden fixed-point snapshot, and
+* **sharded** serving over ``shard_hosts`` (servers each loading the same
+  artifact bundle) reassembles exactly the same arrays.
+
+Sharded tests place their qubit groups on in-process loopback
+:class:`~repro.service.ReadoutServer`\\ s; construction tests that only
+plan the groups point at an address nothing listens on, because planning
+from a local bundle never dials.
 """
 
 from __future__ import annotations
@@ -21,7 +26,21 @@ from make_golden import CASES, GOLDEN_PATH, build_parameters, build_traces
 
 from repro.engine import FixedPointBackend, ReadoutEngine, ReadoutRequest
 from repro.readout.preprocessing import digitize_traces
-from repro.service import ReadoutService, partition_qubits
+from repro.service import ReadoutServer, ReadoutService, partition_qubits
+
+#: 127.0.0.1:1 -- a reserved port nothing listens on.  A service built with
+#: ``bundle_dir`` plans its shard groups from the local manifest at
+#: construction and, with ``autostart=False``, never dials its hosts.
+DEAD_ADDRESS = ("127.0.0.1", 1)
+
+
+@pytest.fixture(scope="module")
+def two_servers(service_bundle):
+    """Two loopback servers on the service bundle: one per shard."""
+    with ReadoutServer(service_bundle) as first, ReadoutServer(
+        service_bundle
+    ) as second:
+        yield [first.address, second.address]
 
 
 class TestPartitioning:
@@ -64,13 +83,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="engine or a bundle_dir"):
             ReadoutService()
 
-    def test_sharded_mode_requires_bundle(self, service_engine):
-        with pytest.raises(ValueError, match="bundle_dir"):
-            ReadoutService(engine=service_engine, n_shards=2)
-
     def test_shard_groups_must_cover_qubits(self, service_bundle):
         with pytest.raises(ValueError, match="every qubit"):
-            ReadoutService(bundle_dir=service_bundle, n_shards=2, shard_groups=[[0], [1]])
+            ReadoutService(
+                bundle_dir=service_bundle,
+                shard_hosts=[DEAD_ADDRESS, DEAD_ADDRESS],
+                shard_groups=[[0], [1]],
+            )
 
     def test_invalid_batching_parameters(self, service_engine):
         with pytest.raises(ValueError, match="max_batch"):
@@ -81,32 +100,39 @@ class TestConstruction:
             ReadoutService(engine=service_engine, max_pending=0)
 
     def test_shard_groups_derived_from_manifest_hints(self, service_bundle):
-        service = ReadoutService(bundle_dir=service_bundle, n_shards=2, autostart=False)
+        service = ReadoutService(
+            bundle_dir=service_bundle,
+            shard_hosts=[DEAD_ADDRESS, DEAD_ADDRESS],
+            autostart=False,
+        )
         assert service.shard_groups == [[0, 1], [2]]
         assert service.sharded
         service.close()
 
     def test_oversubscribed_shard_count_clamps_with_warning(self, service_bundle):
-        """n_shards beyond the qubit count must clamp loudly, not spawn idle
-        workers (the bundle has 3 qubits)."""
-        with pytest.warns(UserWarning, match="clamped to 3"):
+        """More hosts than qubits must clamp loudly, not plan idle
+        placements (the bundle has 3 qubits)."""
+        with pytest.warns(UserWarning, match="left unused"):
             service = ReadoutService(
-                bundle_dir=service_bundle, n_shards=8, autostart=False
+                bundle_dir=service_bundle,
+                shard_hosts=[DEAD_ADDRESS] * 8,
+                autostart=False,
             )
-        assert service.n_shards == 3
+        assert service.stats.placements == 3
         assert service.shard_groups == [[0], [1], [2]]
+        assert len(service.shard_hosts) == 3
         service.close()
 
     def test_empty_explicit_shard_groups_dropped_with_warning(self, service_bundle):
         with pytest.warns(UserWarning, match="empty groups"):
             service = ReadoutService(
                 bundle_dir=service_bundle,
-                n_shards=3,
+                shard_hosts=[DEAD_ADDRESS, DEAD_ADDRESS],
                 shard_groups=[[0, 1], [], [2]],
                 autostart=False,
             )
         assert service.shard_groups == [[0, 1], [2]]
-        assert service.n_shards == 2
+        assert service.stats.placements == 2
         service.close()
 
 
@@ -216,7 +242,7 @@ class TestInProcessServing:
             service.submit(ReadoutRequest(raw=service_carriers[:2]))
 
     def test_bundle_loaded_in_process_fallback(self, service_bundle, service_carriers):
-        """n_shards=1 + bundle_dir loads the engine in-process (no workers)."""
+        """bundle_dir without shard_hosts loads the engine in-process."""
         with ReadoutService(bundle_dir=service_bundle) as service:
             assert not service.sharded
             reference = ReadoutEngine.load(service_bundle)
@@ -307,13 +333,25 @@ class TestInProcessServing:
 
 class TestShardedServing:
     def test_sharded_bit_identical_to_direct_serve(
-        self, service_bundle, service_engine, service_traces, service_carriers
+        self,
+        service_bundle,
+        service_engine,
+        service_traces,
+        service_carriers,
+        two_servers,
     ):
+        """The loopback recipe with two replicas per shard: every answer is
+        bit-identical whichever replica is active."""
+        first, second = two_servers
         direct = service_engine.serve(
             ReadoutRequest(raw=service_carriers, output="both")
         )
-        with ReadoutService(bundle_dir=service_bundle, n_shards=2) as service:
-            assert service.n_shards == 2
+        with ReadoutService(
+            bundle_dir=service_bundle,
+            shard_hosts=[[first, second], [second, first]],
+            remote_timeout=60.0,
+        ) as service:
+            assert service.stats.placements == 2
             served = service.serve(ReadoutRequest(raw=service_carriers, output="both"))
             float_served = service.serve(
                 ReadoutRequest(traces=service_traces, output="both")
@@ -334,9 +372,11 @@ class TestShardedServing:
         assert subset.meta["shards"] == 2
 
     def test_single_shard_subset_touches_one_worker(
-        self, service_bundle, service_engine, service_carriers
+        self, service_bundle, service_engine, service_carriers, two_servers
     ):
-        with ReadoutService(bundle_dir=service_bundle, n_shards=2) as service:
+        with ReadoutService(
+            bundle_dir=service_bundle, shard_hosts=two_servers, remote_timeout=60.0
+        ) as service:
             result = service.serve(
                 ReadoutRequest(raw=service_carriers[:, [2]], qubits=(2,))
             )
@@ -348,13 +388,16 @@ class TestShardedServing:
         )
         assert result.meta["shards"] == 1
 
-    def test_sharded_microbatching_is_exact(self, service_bundle, service_engine, service_carriers):
+    def test_sharded_microbatching_is_exact(
+        self, service_bundle, service_engine, service_carriers, two_servers
+    ):
         direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
         service = ReadoutService(
             bundle_dir=service_bundle,
-            n_shards=2,
+            shard_hosts=two_servers,
             max_batch=16,
             max_wait_ms=50.0,
+            remote_timeout=60.0,
             autostart=False,
         )
         chunk = 16
@@ -369,13 +412,16 @@ class TestShardedServing:
             np.concatenate([result.states for result in results]), direct.states
         )
         assert service.stats.batches < len(futures)
+        assert service.stats.coalesced_requests > 0
 
     def test_worker_error_propagates_and_service_survives(
-        self, service_bundle, service_carriers
+        self, service_bundle, service_carriers, two_servers
     ):
-        with ReadoutService(bundle_dir=service_bundle, n_shards=2) as service:
+        with ReadoutService(
+            bundle_dir=service_bundle, shard_hosts=two_servers, remote_timeout=60.0
+        ) as service:
             # Traces shorter than the matched-filter envelope fail inside the
-            # worker's datapath; the error must surface on this side.
+            # server's datapath; the error must surface on this side.
             bad = np.zeros((4, 3, 2, 2), dtype=np.int32)
             with pytest.raises(ValueError):
                 service.serve(ReadoutRequest(raw=bad))
@@ -401,17 +447,21 @@ class TestObservability:
         assert stats.placements == 1
         assert stats.backend == "fpga"
 
-    def test_sharded_dispatch_meta(self, service_bundle, service_carriers):
-        with ReadoutService(bundle_dir=service_bundle, n_shards=2) as service:
+    def test_sharded_dispatch_meta(
+        self, service_bundle, service_carriers, two_servers
+    ):
+        with ReadoutService(
+            bundle_dir=service_bundle, shard_hosts=two_servers, remote_timeout=60.0
+        ) as service:
             meta = service.serve(ReadoutRequest(raw=service_carriers[:2])).meta
             stats = service.stats
         # Telemetry adds trace_id / stage_ms on top of the dispatch meta.
         assert {k: meta[k] for k in ("backend", "shards", "transport")} == {
-            "backend": "fpga", "shards": 2, "transport": "local"
+            "backend": "fpga", "shards": 2, "transport": "tcp"
         }
         assert set(meta["stage_ms"]) == {"queue", "batch", "shard", "wire", "compute"}
         assert meta["trace_id"]
-        assert stats.transport == "local"
+        assert stats.transport == "tcp"
         assert stats.placements == 2
         assert stats.backend == "fpga"
 
@@ -435,9 +485,9 @@ class TestObservability:
 
 
 class TestGoldenThroughService:
-    def test_sharded_service_reproduces_golden_snapshot(self, tmp_path):
-        """End-to-end pinning: bundle -> 2 worker processes -> micro-batched
-        raw serving must land exactly on the golden raw-integer snapshot."""
+    def test_in_process_service_matches_golden_snapshot(self, tmp_path):
+        """End-to-end pinning: bundle -> in-process service -> coalesced raw
+        serving must land exactly on the golden raw-integer snapshot."""
         golden = np.array(
             json.loads(GOLDEN_PATH.read_text())["q16_16"], dtype=np.int64
         )
@@ -447,48 +497,22 @@ class TestGoldenThroughService:
         )
         bundle = tmp_path / "golden-bundle"
         engine.save(bundle)
+        engine.close()
         carriers = digitize_traces(np.stack([build_traces()] * 2, axis=1))
-        with ReadoutService(bundle_dir=bundle, n_shards=2) as service:
-            result = service.serve(ReadoutRequest(raw=carriers, output="logits"))
-        np.testing.assert_array_equal(result.logits[:, 0], expected)
-        np.testing.assert_array_equal(result.logits[:, 1], expected)
-        engine.close()
-
-
-class TestResilience:
-    def test_shard_count_clipped_to_one_falls_back_in_process(
-        self, tmp_path, service_carriers
-    ):
-        """More shards than qubit groups must serve in-process, not crash."""
-        engine = ReadoutEngine(
-            [FixedPointBackend(build_parameters(CASES["q16_16"]))]
+        # Queue the carriers as several requests before starting, so the
+        # batcher coalesces them into shared dispatches.
+        service = ReadoutService(
+            bundle_dir=bundle, max_batch=64, max_wait_ms=50.0, autostart=False
         )
-        bundle = tmp_path / "one-qubit"
-        engine.save(bundle)
-        carriers = service_carriers[:, [0]]
-        with pytest.warns(UserWarning, match="clamped to 1"):
-            service = ReadoutService(bundle_dir=bundle, n_shards=4)
-        with service:
-            assert not service.sharded
-            assert service.n_shards == 1
-            result = service.serve(ReadoutRequest(raw=carriers))
-            np.testing.assert_array_equal(
-                result.states, engine.serve(ReadoutRequest(raw=carriers)).states
-            )
-        engine.close()
-
-    def test_dead_worker_raises_instead_of_hanging(self, tmp_path, service_bundle):
-        """A shard whose bundle cannot load must fail the request, not park
-        the batcher (and close()) forever."""
-        import shutil
-
-        broken = tmp_path / "broken-bundle"
-        shutil.copytree(service_bundle, broken)
-        victim = next(broken.glob("qubit0/*.npz"))
-        victim.write_bytes(b"not a real payload")
-        with ReadoutService(bundle_dir=broken, n_shards=2) as service:
-            future = service.submit(
-                ReadoutRequest(raw=np.zeros((2, 3, 40, 2), dtype=np.int32))
-            )
-            with pytest.raises(RuntimeError, match="worker died"):
-                future.result(timeout=60)
+        futures = [
+            service.submit(ReadoutRequest(raw=chunk, output="logits"))
+            for chunk in np.array_split(carriers, 4)
+        ]
+        service.start()
+        logits = np.concatenate(
+            [future.result(timeout=30).logits for future in futures]
+        )
+        service.close()
+        assert service.stats.coalesced_requests > 0
+        np.testing.assert_array_equal(logits[:, 0], expected)
+        np.testing.assert_array_equal(logits[:, 1], expected)

@@ -2,8 +2,8 @@
 
 The telemetry tentpole's core claim: a trace id minted (or supplied) at the
 submit edge rides the wire ``meta`` of whatever placement serves the
-request -- in-process, local shard workers over pipes, loopback TCP, and
-replicated TCP *through an injected failover resend* -- and comes back in
+request -- in-process, loopback TCP, and replicated TCP *through an
+injected failover resend* -- and comes back in
 ``ReadoutResult.meta["trace_id"]``.  On sharded paths the service prefers
 the transport-echoed id over its locally remembered copy, so the equality
 asserts here prove the id actually crossed the wire and returned, not that
@@ -21,7 +21,6 @@ import pytest
 from repro.engine import ReadoutRequest
 from repro.service import (
     ChaosProxy,
-    ChaosTransport,
     FaultSchedule,
     ReadoutServer,
     ReadoutService,
@@ -87,44 +86,6 @@ class TestInProcess:
         ) as service:
             meta = service.serve(ReadoutRequest(raw=service_carriers[:4])).meta
         assert "trace_id" not in meta and "stage_ms" not in meta
-
-
-class TestLocalShards:
-    def test_trace_survives_the_worker_pipe(
-        self, service_bundle, service_engine, service_carriers
-    ):
-        direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
-        with ReadoutService(
-            bundle_dir=service_bundle, n_shards=2, max_wait_ms=0
-        ) as service:
-            future = service.submit(
-                ReadoutRequest(raw=service_carriers), trace_id="trace-local"
-            )
-            result = future.result()
-        np.testing.assert_array_equal(result.states, direct.states)
-        assert result.meta["trace_id"] == "trace-local"
-
-    def test_trace_survives_worker_respawn_and_redispatch(
-        self, service_bundle, service_engine, service_carriers
-    ):
-        direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
-        schedule = FaultSchedule(["kill"])  # first touch of shard 0 kills it
-        with ReadoutService(
-            bundle_dir=service_bundle,
-            n_shards=2,
-            retry=FAST_RETRY,
-            failover_seed=3,
-        ) as service:
-            service._shards[0] = ChaosTransport(service._shards[0], schedule)
-            future = service.submit(
-                ReadoutRequest(raw=service_carriers), trace_id="trace-respawn"
-            )
-            result = future.result()
-            stats = service.stats
-        np.testing.assert_array_equal(result.states, direct.states)
-        assert result.meta["trace_id"] == "trace-respawn"
-        assert stats.worker_respawns >= 1
-        assert stats.redispatches >= 1
 
 
 class TestTcp:

@@ -26,9 +26,9 @@ prints against a production host).
 Next the model-lifecycle story: publish the bundle to a versioned
 :class:`~repro.service.BundleRegistry`, let the
 :class:`~repro.service.RegistryWatcher` verify and adopt a "retrained"
-bundle out of the staging area, canary it against the baseline, promote
-it, and hot-swap back under queued load -- zero dropped requests and
-bit-identity on both sides of the swap barrier.
+bundle out of the staging area, hot-swap to it under queued load, and swap
+back to the original under queued load -- zero dropped requests and
+bit-identity on both sides of each swap barrier.
 
 CI runs this as its loopback network-serving smoke: any failure exits with
 code 5, which CI downgrades to a warning like the other non-blocking
@@ -231,7 +231,7 @@ def run_failover() -> None:
 
 
 def run_lifecycle() -> None:
-    """Publish, canary, promote, and hot-swap a new bundle with zero drops."""
+    """Publish, adopt, hot-swap and swap back a bundle with zero drops."""
     from repro.service import BundleRegistry, RegistryWatcher
 
     n_qubits, n_shots = 4, 64
@@ -270,36 +270,31 @@ def run_lifecycle() -> None:
         with ReadoutService(
             registry=registry, bundle_dir=registry.resolve(version_v1)
         ) as service:
-            # Canary first: a deterministic 25% of requests is answered by
-            # the candidate and bit-compared against the baseline.
-            service.swap_bundle(version_v2, canary_fraction=0.25)
-            for _ in range(8):
-                service.serve(request)
-            report = service.canary_report()
-            print(f"Canary {report.version!r}: {report.canary_requests} canaried "
-                  f"vs {report.baseline_requests} baseline requests, "
-                  f"{report.disagreements} disagreement(s)")
-            outcome = service.promote()
-            assert outcome["swapped"], "promote did not complete the swap"
-
-            # Hot swap back to v1 under queued load: requests submitted
-            # before the swap drain on the old engine, requests after it on
-            # the new -- zero drops, bit-identity on both sides.
-            pre = [service.submit(request) for _ in range(6)]
-            service.swap_bundle(version_v1)
-            post = [service.submit(request) for _ in range(6)]
-            for future in pre:
-                result = future.result(timeout=120)
-                assert np.array_equal(result.logits, ref_v2.logits), \
-                    "a pre-swap request was not served by the promoted engine"
-            for future in post:
-                result = future.result(timeout=120)
-                assert np.array_equal(result.logits, ref_v1.logits), \
-                    "a post-swap request was not served by the new engine"
+            # Hot swap to v2, then back to v1 (the rollback), each under
+            # queued load: requests submitted before a swap drain on the old
+            # engine, requests after it on the new -- zero drops,
+            # bit-identity on both sides of both barriers.
+            for version, old, new in (
+                (version_v2, ref_v1, ref_v2),
+                (version_v1, ref_v2, ref_v1),
+            ):
+                pre = [service.submit(request) for _ in range(6)]
+                service.swap_bundle(version)
+                post = [service.submit(request) for _ in range(6)]
+                for future in pre:
+                    result = future.result(timeout=120)
+                    assert np.array_equal(result.logits, old.logits), \
+                        "a pre-swap request was not served by the old engine"
+                for future in post:
+                    result = future.result(timeout=120)
+                    assert np.array_equal(result.logits, new.logits), \
+                        "a post-swap request was not served by the new engine"
+                print(f"Swapped to {version!r} under queued load: "
+                      f"{len(pre)} pre-swap and {len(post)} post-swap "
+                      "requests bit-identical.")
             stats = service.stats
-        assert stats.bundle_swaps == 2, "expected promote + swap-back"
-        assert stats.promotions == 1
-        print(f"Hot swaps: {stats.bundle_swaps} (1 promoted canary), "
+        assert stats.bundle_swaps == 2, "expected a swap and a swap back"
+        print(f"Hot swaps: {stats.bundle_swaps} (there and back), "
               f"{stats.requests_served} requests served, zero dropped, "
               f"active version {stats.active_version!r}. Model lifecycle OK.")
     engine_v1.close()

@@ -62,7 +62,7 @@ def compute_bundle_id(files: dict[str, str]) -> str:
     Derived purely from the manifest's ``files`` map (sorted name/checksum
     pairs), so two bundles with byte-identical payloads share one id no
     matter where or when they were saved -- the property the lifecycle
-    registry pins swaps and canary comparisons to.
+    registry and the SWAP wire frame pin swaps to.
     """
     digest = hashlib.sha256()
     for name, checksum in sorted(files.items()):

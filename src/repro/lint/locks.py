@@ -19,6 +19,10 @@ Two rules over the threaded serving tier:
     connection serializing one request per round trip) carries a pragma
     with its reason.
 
+The ledger itself is checked too: a registered class that no longer exists,
+or a registered field its class never assigns through ``self.<field>``, is
+an ``unguarded-write`` finding -- a stale entry guards nothing.
+
 The checks are lexical, not interprocedural: a helper that writes a guarded
 field and is only ever called under the lock still needs the ``with`` block
 (or a pragma explaining the invariant) -- that rigidity is what makes the
@@ -47,21 +51,11 @@ GUARDED_BY: dict[str, dict[str, dict[str, str]]] = {
             "_queued_depth": "_admission_lock",
             "_started": "_lifecycle_lock",
             "_closed": "_lifecycle_lock",
-            "_canary": "_canary_lock",
         },
     },
     "src/repro/service/lifecycle.py": {
         "BundleRegistry": {"_index": "_lock"},
         "RegistryWatcher": {"_adopted": "_lock", "_skipped": "_lock"},
-        "CanaryRollout": {
-            "_active": "_lock",
-            "_seen": "_lock",
-            "_canary_requests": "_lock",
-            "_baseline_requests": "_lock",
-            "_canary_batches": "_lock",
-            "_disagreements": "_lock",
-            "_disagreeing_shots": "_lock",
-        },
     },
     "src/repro/service/telemetry.py": {
         "LatencyHistogram": {
@@ -151,6 +145,28 @@ def _self_field(node: ast.AST) -> str | None:
             return node.attr
         node = parent
     return None
+
+
+def _assigned_fields(cls: ast.ClassDef) -> set[str]:
+    """Every field the class assigns through ``self.<field>`` (tuple targets
+    unpacked; attribute/subscript chains count for their root field)."""
+    fields: set[str] = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign):
+            pending = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            pending = [node.target]
+        else:
+            continue
+        while pending:
+            target = pending.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                pending.extend(target.elts)
+            elif isinstance(target, ast.Starred):
+                pending.append(target.value)
+            elif (field_name := _self_field(target)) is not None:
+                fields.add(field_name)
+    return fields
 
 
 def _with_lock_name(item: ast.withitem) -> str | None:
@@ -319,21 +335,36 @@ class LockChecker:
                 for stmt in node.body:
                     auditor.visit(stmt)
                 findings.extend(auditor.findings)
+            classdefs = {
+                stmt.name: stmt
+                for stmt in module.tree.body
+                if isinstance(stmt, ast.ClassDef)
+            }
             for cls_name, fields in classes.items():
-                if not any(
-                    isinstance(stmt, ast.ClassDef) and stmt.name == cls_name
-                    for stmt in module.tree.body
-                ):
-                    findings.append(
-                        Finding(
-                            rule=RULE_UNGUARDED,
-                            path=path,
-                            line=1,
-                            col=0,
-                            message=(
-                                f"GUARDED_BY registers class {cls_name}, which "
-                                "no longer exists; update repro.lint.locks"
-                            ),
-                        )
+                classdef = classdefs.get(cls_name)
+                if classdef is None:
+                    line = 1
+                    stale = [f"class {cls_name}, which no longer exists"]
+                else:
+                    line = classdef.lineno
+                    assigned = _assigned_fields(classdef)
+                    stale = [
+                        f"{cls_name}.{field}, which {cls_name} never assigns "
+                        f"through self.{field}"
+                        for field in fields
+                        if field not in assigned
+                    ]
+                findings.extend(
+                    Finding(
+                        rule=RULE_UNGUARDED,
+                        path=path,
+                        line=line,
+                        col=0,
+                        message=(
+                            f"GUARDED_BY registers {entry}; update "
+                            "repro.lint.locks"
+                        ),
                     )
+                    for entry in stale
+                )
         return findings

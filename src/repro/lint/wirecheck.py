@@ -16,9 +16,9 @@ side still treats it as "unknown frame":
 - duplicate kind values are flagged (two constants with one value cannot be
   told apart on the wire).
 
-The ROADMAP's planned swap/canary control frame is exactly the case this
-gate exists for: adding ``SWAP_REQUEST = 8`` to wire.py fails the build
-until the server dispatches it and the client can decode its reply.
+The swap control frame is exactly the case this gate exists for: adding
+``SWAP_REQUEST = 8`` to wire.py fails the build until the server
+dispatches it and the client can decode its reply.
 """
 
 from __future__ import annotations

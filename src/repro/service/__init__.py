@@ -38,9 +38,8 @@ client, and the shard transport with replica failover),
 policy and health-checked host pool, :mod:`repro.service.faults` for the
 fault-injection harness that keeps the self-healing paths honest,
 :mod:`repro.service.lifecycle` for the zero-downtime model lifecycle --
-the versioned :class:`BundleRegistry`, the staging
-:class:`RegistryWatcher`, and the canary-rollout machinery behind
-``service.swap_bundle()`` / ``promote()`` / ``rollback()`` -- and
+the versioned :class:`BundleRegistry` and the staging
+:class:`RegistryWatcher` that feed ``service.swap_bundle()`` -- and
 :mod:`repro.service.telemetry` for the traffic-tier observability layer --
 per-request trace ids, per-stage latency histograms
 (``service.metrics()``, the METRICS wire frame,
@@ -60,8 +59,6 @@ if _os.environ.get("REPRO_LOCKSAN") == "1":
 from repro.service.service import ReadoutService, ServiceStats
 from repro.service.lifecycle import (
     BundleRegistry,
-    CanaryReport,
-    CanaryRollout,
     RegistryError,
     RegistryWatcher,
 )
@@ -98,8 +95,6 @@ __all__ = [
     "BundleRegistry",
     "RegistryWatcher",
     "RegistryError",
-    "CanaryRollout",
-    "CanaryReport",
     "partition_qubits",
     "replica_addresses",
     "RetryPolicy",

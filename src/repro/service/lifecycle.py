@@ -1,10 +1,10 @@
-"""Zero-downtime model lifecycle: the versioned bundle registry and canary state.
+"""Zero-downtime model lifecycle: the versioned bundle registry and its watcher.
 
 Real readout hardware recalibrates constantly, so a deployed discriminator
 is retrained and redeployed while the feedback loop keeps running.  This
 module holds the artifact-management half of that story; the serving half
-(:meth:`~repro.service.ReadoutService.swap_bundle`, ``promote``/
-``rollback``) lives in :mod:`repro.service.service`.
+(:meth:`~repro.service.ReadoutService.swap_bundle`, forward to a new
+version or back to an earlier one) lives in :mod:`repro.service.service`.
 
 * :class:`BundleRegistry` -- a directory of **immutable versioned bundles**
   with a JSON index.  ``publish()`` copies an artifact bundle in (verifying
@@ -20,11 +20,6 @@ module holds the artifact-management half of that story; the serving half
   a registry version (invalid or still-copying directories are skipped and
   recorded, never half-adopted).  ``on_loadable`` is the hook a serving host
   uses to trigger a hot swap the moment a new calibration lands.
-* :class:`CanaryRollout` / :class:`CanaryReport` -- the live state of a
-  staged rollout: a deterministic fraction of requests routes to the
-  candidate engine, and the rollout accumulates disagreement counts and
-  per-engine latency histograms until the operator ``promote()``\\ s or
-  ``rollback()``\\ s.
 
 Registry layout::
 
@@ -40,13 +35,11 @@ Registry layout::
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import shutil
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.engine.bundle import (
@@ -55,7 +48,6 @@ from repro.engine.bundle import (
     bundle_id_of,
     load_manifest,
 )
-from repro.service.telemetry import LatencyHistogram
 
 __all__ = [
     "REGISTRY_INDEX_NAME",
@@ -63,8 +55,6 @@ __all__ = [
     "BundleRegistry",
     "RegistryError",
     "RegistryWatcher",
-    "CanaryReport",
-    "CanaryRollout",
 ]
 
 REGISTRY_INDEX_NAME = "index.json"
@@ -253,12 +243,8 @@ class BundleRegistry:
         return name
 
     # ---------------------------------------------------------------- resolve
-    def resolve(self, version: str | None = None, *, verify: bool = True) -> Path:
-        """The bundle directory of ``version`` (default: latest), re-verified.
-
-        ``verify=False`` skips the checksum pass for callers that already
-        verified (the watcher adopting what it just checked).
-        """
+    def resolve(self, version: str | None = None) -> Path:
+        """The bundle directory of ``version`` (default: latest), re-verified."""
         with self._lock:
             name = self._index["latest"] if version is None else version
             known = name in self._index["versions"]
@@ -270,9 +256,7 @@ class BundleRegistry:
                 f"(published: {self.versions() or 'none'})"
             )
         directory = self.root / name
-        manifest = load_manifest(directory)
-        if verify:
-            _verify_files(directory, manifest)
+        _verify_files(directory, load_manifest(directory))
         return directory
 
     # --------------------------------------------------------------------- gc
@@ -280,7 +264,8 @@ class BundleRegistry:
         """Remove the oldest versions beyond the newest ``keep``.
 
         The latest version and anything in ``protect`` (e.g. the version a
-        service is currently serving, or mid-canary) are never removed.
+        service is currently serving, or the one it would swap back to) are
+        never removed.
         Returns the removed version names, oldest first.
         """
         if keep < 1:
@@ -418,140 +403,3 @@ class RegistryWatcher:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-# --------------------------------------------------------------------------
-# Canary rollout state
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CanaryReport:
-    """An immutable snapshot of a canary rollout's evidence.
-
-    ``disagreements`` counts canaried *requests* whose candidate answer
-    differed anywhere from the baseline's; ``disagreeing_shots`` counts the
-    individual shots that differed (states or logits, bit-compared).  The
-    latency summaries are :meth:`LatencyHistogram.summary` dicts recorded
-    per dispatch on each engine, so an operator compares fidelity *and*
-    speed before promoting.
-    """
-
-    version: str
-    bundle_id: str
-    canary_fraction: float
-    active: bool
-    canary_requests: int = 0
-    baseline_requests: int = 0
-    canary_batches: int = 0
-    disagreements: int = 0
-    disagreeing_shots: int = 0
-    candidate_latency: dict | None = None
-    baseline_latency: dict | None = None
-
-
-class CanaryRollout:
-    """The live state of one staged rollout (candidate engine + evidence).
-
-    Routing is deterministic, not sampled: the ``n``-th canary-eligible
-    request routes to the candidate iff ``floor(n * fraction)`` increments
-    -- for ``fraction=0.1`` exactly every 10th request, reproducibly, so
-    tests (and incident reviews) can say which requests were canaried.
-
-    The service compares the candidate's answer against the baseline's for
-    every canaried request and feeds the evidence here; :meth:`report`
-    snapshots it as a :class:`CanaryReport`.
-    """
-
-    def __init__(
-        self,
-        version: str,
-        bundle_id: str,
-        bundle_dir: Path,
-        engine,
-        fraction: float,
-    ) -> None:
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(
-                f"canary_fraction must be in (0, 1], got {fraction}"
-            )
-        self.version = str(version)
-        self.bundle_id = str(bundle_id)
-        self.bundle_dir = Path(bundle_dir)
-        self.engine = engine
-        self.fraction = float(fraction)
-        self._lock = threading.Lock()
-        self._active = True
-        self._seen = 0
-        self._canary_requests = 0
-        self._baseline_requests = 0
-        self._canary_batches = 0
-        self._disagreements = 0
-        self._disagreeing_shots = 0
-        self.candidate_latency = LatencyHistogram()
-        self.baseline_latency = LatencyHistogram()
-
-    @property
-    def active(self) -> bool:
-        """Whether this rollout still routes traffic (false once decided)."""
-        with self._lock:
-            return self._active
-
-    def deactivate(self) -> None:
-        """Stop routing: called by both ``promote()`` and ``rollback()``."""
-        with self._lock:
-            self._active = False
-
-    def should_route(self) -> bool:
-        """Deterministic routing decision for the next eligible request."""
-        with self._lock:
-            if not self._active:
-                return False
-            self._seen += 1
-            n = self._seen
-        return math.floor(n * self.fraction) > math.floor((n - 1) * self.fraction)
-
-    def record_baseline(self, n_requests: int) -> None:
-        """Count requests that were eligible but routed to the baseline."""
-        with self._lock:
-            self._baseline_requests += int(n_requests)
-
-    def record_comparison(
-        self,
-        n_requests: int,
-        disagreeing_requests: int,
-        disagreeing_shots: int,
-        candidate_s: float,
-        baseline_s: float,
-    ) -> None:
-        """Fold one canaried dispatch's evidence into the rollout."""
-        with self._lock:
-            self._canary_batches += 1
-            self._canary_requests += int(n_requests)
-            self._disagreements += int(disagreeing_requests)
-            self._disagreeing_shots += int(disagreeing_shots)
-        self.candidate_latency.record(candidate_s)
-        self.baseline_latency.record(baseline_s)
-
-    def report(self) -> CanaryReport:
-        """An immutable snapshot of the rollout evidence so far."""
-        with self._lock:
-            return CanaryReport(
-                version=self.version,
-                bundle_id=self.bundle_id,
-                canary_fraction=self.fraction,
-                active=self._active,
-                canary_requests=self._canary_requests,
-                baseline_requests=self._baseline_requests,
-                canary_batches=self._canary_batches,
-                disagreements=self._disagreements,
-                disagreeing_shots=self._disagreeing_shots,
-                candidate_latency=self.candidate_latency.summary(),
-                baseline_latency=self.baseline_latency.summary(),
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CanaryRollout(version={self.version!r}, "
-            f"fraction={self.fraction}, active={self.active})"
-        )

@@ -883,6 +883,19 @@ class _FramedConnection:
             self._send(frame)
             return self._receive()
 
+    def shutdown(self) -> None:
+        """Wake a thread blocked on this socket: its read or write fails.
+
+        Takes no lock on purpose -- a blocked :meth:`receive` holds
+        ``_lock`` for as long as the reply stalls.
+        """
+        sock = self._sock
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed underneath us
+                pass
+
     def drop(self) -> None:
         """Forget the socket so the next call reconnects."""
         sock, self._sock = self._sock, None
@@ -1164,15 +1177,17 @@ class TcpShardTransport:
         """
         return bool(self._pending) and self._pending[0][2] >= self._retry.attempts
 
+    def _check_abort(self) -> None:
+        if self._should_abort():
+            raise TransportError(
+                f"Shard {self.shard_index} aborted: the service is closing"
+            )
+
     def _connect_any(self, initial: bool = False) -> None:
         """Dial replicas until one accepts and takes the unanswered backlog."""
         errors: list[str] = []
         for candidate in self._dial_order(1 if initial else self._retry.attempts):
-            if self._should_abort():
-                raise TransportError(
-                    f"Shard {self.shard_index} failover aborted: the "
-                    "service is closing"
-                )
+            self._check_abort()
             if self._spent():
                 break
             conn = self._conns[candidate]
@@ -1208,6 +1223,8 @@ class TcpShardTransport:
 
     def _failover(self, exc: Exception) -> None:
         """Move the backlog to the next replica, or fail it once tries are spent."""
+        # A close() that shut the sockets down is not a replica failure.
+        self._check_abort()
         if self._pool is not None and self._active is not None:
             self._pool.record_failure(self._active, error=str(exc))
         if self._spent():
@@ -1270,6 +1287,9 @@ class TcpShardTransport:
                 f"job {job_id} was expected; the shard protocol is out of sync"
             )
         while True:
+            # Checked after any redial: a socket dialled after close() shut
+            # the others down would otherwise block for the full deadline.
+            self._check_abort()
             try:
                 reply = self._conns[self._active].receive()
             except (TransportError, wire.WireFormatError) as exc:
@@ -1332,6 +1352,16 @@ class TcpShardTransport:
                 f"[{'; '.join(failures)}]"
             )
         return {"swapped": True, "replicas": swapped, "bundle_dir": str(bundle_dir)}
+
+    def interrupt(self) -> None:
+        """Wake a :meth:`collect` blocked on a stalled reply.
+
+        Shuts every replica socket down without taking the connection
+        locks; the blocked read fails into :meth:`_failover`, which aborts
+        once ``should_abort`` reports the service closing.
+        """
+        for conn in self._conns.values():
+            conn.shutdown()
 
     def is_alive(self) -> bool:
         """Whether the placement can still answer submitted work."""

@@ -48,7 +48,7 @@ from repro.engine.request import (
     validate_multiplexed_payload,
 )
 from repro.service.health import HostPool
-from repro.service.lifecycle import BundleRegistry, CanaryReport, CanaryRollout
+from repro.service.lifecycle import BundleRegistry
 from repro.service.net import RemoteEngineClient, TcpShardTransport, TransportError
 from repro.service.retry import RetryPolicy
 from repro.service.sharding import partition_qubits, replica_addresses
@@ -124,12 +124,10 @@ class ServiceStats:
     accepted but downgraded to states-only (``degraded_ok=True``) instead.
 
     The lifecycle counters record the zero-downtime model rollout path:
-    ``bundle_swaps`` (atomic engine flips at a drain barrier),
-    ``canary_requests`` / ``canary_disagreements`` (requests routed through
-    a canary comparison and how many answered differently), and
-    ``promotions`` / ``rollbacks`` (how staged rollouts ended).
-    ``active_version`` names the registry version currently served (empty
-    when the deployment was never swapped through the registry).
+    ``bundle_swaps`` counts atomic engine flips at the drain barrier (a
+    swap back to an earlier version counts as one more), and
+    ``active_version`` names the version currently served (empty when the
+    deployment was never swapped).
 
     The dataclass is frozen and every field is an immutable scalar, so a
     snapshot handed out by :attr:`ReadoutService.stats` can neither tear
@@ -149,10 +147,6 @@ class ServiceStats:
     shed_requests: int = 0
     degraded_admissions: int = 0
     bundle_swaps: int = 0
-    canary_requests: int = 0
-    canary_disagreements: int = 0
-    promotions: int = 0
-    rollbacks: int = 0
     transport: str = "inprocess"
     placements: int = 1
     backend: str = ""
@@ -171,10 +165,6 @@ class _Entry:
     #: Set when admission control degraded this request to states-only:
     #: records the original output and the predicted wait that triggered it.
     admission: dict | None = None
-    #: The rollout this request was deterministically routed to at submit
-    #: time (None = baseline).  Canary entries never coalesce with baseline
-    #: ones, and a rollout decided before dispatch serves baseline anyway.
-    canary: CanaryRollout | None = None
 
 
 class ReadoutService:
@@ -270,8 +260,8 @@ class ReadoutService:
         A :class:`~repro.service.lifecycle.BundleRegistry` wiring the
         service into the model lifecycle: with no ``engine``/``bundle_dir``
         the registry's latest published version is served, and
-        :meth:`swap_bundle` resolves version names through it (hot swap,
-        canary rollout, :meth:`promote`/:meth:`rollback`).
+        :meth:`swap_bundle` resolves version names through it (a hot swap
+        forward, or back to an earlier version).
     """
 
     def __init__(
@@ -425,11 +415,6 @@ class ReadoutService:
         # depth the admission predictor multiplies by the cost estimate.
         self._admission_lock = threading.Lock()
         self._queued_depth = {priority: 0 for priority in PRIORITY_CLASSES}
-        # Model lifecycle: the rollout currently routing canary traffic
-        # (None outside a rollout; kept after promote/rollback so
-        # canary_report() still answers, with active=False).
-        self._canary_lock = threading.Lock()
-        self._canary: CanaryRollout | None = None
 
     # -------------------------------------------------------------- planning
     def _deployment_layout(self) -> dict:
@@ -593,16 +578,11 @@ class ReadoutService:
                 "degraded_admissions": stats.degraded_admissions,
             },
         )
-        with self._canary_lock:
-            rollout = self._canary
-        lifecycle: dict = {
+        snapshot["lifecycle"] = {
             "active_version": stats.active_version or None,
             "bundle_swaps": stats.bundle_swaps,
             "registry": None if self.registry is None else str(self.registry.root),
         }
-        if rollout is not None:
-            lifecycle["canary"] = asdict(rollout.report())
-        snapshot["lifecycle"] = lifecycle
         if self._pool is not None:
             snapshot["host_pool"] = self._pool.state()
         if include_remotes and self._mode == "tcp" and not self._closed:
@@ -688,22 +668,29 @@ class ReadoutService:
         return self
 
     def close(self) -> None:
-        """Stop serving: drain nothing further, fail pending requests, disconnect.
+        """Stop serving: fail pending requests, disconnect.
 
-        Idempotent.  A user-supplied engine is left open (the caller owns
-        it); a bundle-loaded engine is closed and every shard connection is
-        dropped (the servers keep running).
+        Idempotent.  In-process, the queued backlog drains before the
+        batcher exits.  On TCP placements the shard sockets are shut down
+        first, so a stalled server cannot hold close() up: in-flight and
+        queued requests fail with a
+        :class:`~repro.service.net.TransportError`.  A user-supplied engine
+        is left open (the caller owns it); a bundle-loaded engine is closed
+        and every shard connection is dropped (the servers keep running).
         """
         with self._lifecycle_lock:
             if self._closed:
                 return
             self._closed = True
             started = self._started
-        # Raise the closing flag *before* joining the batcher: an in-flight
-        # failover loop observes it at its next dial and aborts (failing its
-        # futures) instead of burning the full retry budget while close()
-        # waits on the join.
+        # Raise the closing flag *before* joining the batcher, then wake a
+        # collect blocked on a stalled reply: the failed read reaches the
+        # failover loop, which sees the flag and aborts (failing its
+        # futures) instead of waiting out the per-try deadline and the
+        # retry budget while close() waits on the join.
         self._closing.set()
+        for shard in self._shards:
+            shard.interrupt()
         if started:
             self._queue.put((_SHUTDOWN_RANK, next(self._seq), _SHUTDOWN))
             self._batcher.join()
@@ -719,13 +706,6 @@ class ReadoutService:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        # An undecided rollout dies with the service: close the candidate
-        # engine (a promoted one became self._engine and is handled below).
-        with self._canary_lock:
-            rollout = self._canary
-        if rollout is not None and rollout.active:
-            rollout.deactivate()
-            rollout.engine.close()
         if self._owns_engine and self._engine is not None:
             self._engine.close()
 
@@ -736,10 +716,8 @@ class ReadoutService:
         self.close()
 
     # --------------------------------------------------------- model lifecycle
-    def _resolve_swap_target(
-        self, version, bundle_dir
-    ) -> tuple[str, str, Path, dict]:
-        """Resolve a swap request to ``(name, bundle_id, directory, manifest)``.
+    def _resolve_swap_target(self, version, bundle_dir) -> tuple[str, str, Path]:
+        """Resolve a swap request to ``(name, bundle_id, directory)``.
 
         Registry versions are checksum-re-verified by ``resolve``; explicit
         directories are at least manifest-checked here (the engine load
@@ -765,7 +743,7 @@ class ReadoutService:
             directory = Path(bundle_dir)
             manifest = load_manifest(directory)
             bundle_id = bundle_id_of(manifest)
-            name = str(version) if version is not None else directory.name
+            name = directory.name
         n_qubits = int(manifest["n_qubits"])
         if n_qubits != self._n_qubits:
             raise ValueError(
@@ -773,85 +751,39 @@ class ReadoutService:
                 f"serves {self._n_qubits}; a hot swap cannot change the "
                 "deployment shape"
             )
-        return str(name), bundle_id, directory, manifest
+        return str(name), bundle_id, directory
 
     def swap_bundle(
         self,
         version: str | None = None,
         *,
         bundle_dir: str | Path | None = None,
-        canary_fraction: float | None = None,
         timeout_s: float = 60.0,
     ) -> dict:
         """Swap the served model to a new bundle with zero dropped requests.
 
-        Without ``canary_fraction`` this is the full hot swap: a barrier
-        rides the request queue behind the already-queued backlog; when the
-        batcher reaches it no micro-batch is in flight, and the new engine
-        -- loaded and checksum-verified beforehand -- flips atomically.
-        Every request dispatched before the flip is answered bit-identically
-        by the old engine, every one after by the new (in-process directly;
-        TCP placements via the ``SWAP_REQUEST`` wire frame, pinned to this
-        bundle's id).  A candidate that fails to load raises here and
-        changes nothing -- the old engine keeps serving.
+        A barrier rides the request queue behind the already-queued backlog;
+        when the batcher reaches it no micro-batch is in flight, and the new
+        engine -- loaded and checksum-verified there, before anything flips
+        -- replaces the old one atomically.  Every request submitted before
+        the swap is answered bit-identically by the old engine, every one
+        after by the new (in-process directly; TCP placements via the
+        ``SWAP_REQUEST`` wire frame, pinned to this bundle's id).  A
+        candidate that fails to load raises here and changes nothing -- the
+        old engine keeps serving.
 
-        With ``canary_fraction`` the swap becomes a **staged rollout**: the
-        candidate engine is loaded on the front-end and a deterministic
-        fraction of subsequent requests is served by *both* engines, with
-        disagreements and per-engine latencies accumulating in
-        :meth:`canary_report`; :meth:`promote` finishes the rollout (the
-        full swap above) and :meth:`rollback` aborts it.
+        A swap before :meth:`start` starts the service first, so it takes
+        the same barrier: requests queued under ``autostart=False`` are
+        answered by the old bundle, and every shard is dialled before it is
+        told to swap.  To roll a bundle back, swap back to its predecessor.
 
         ``version`` names a registry version (``None`` = latest) when the
         service holds a registry; ``bundle_dir`` swaps to an explicit
         bundle directory instead.  Returns a summary dict.
         """
-        if self._closed:
-            raise RuntimeError("ReadoutService is closed")
-        name, bundle_id, directory, _manifest = self._resolve_swap_target(
-            version, bundle_dir
-        )
-        if canary_fraction is not None:
-            engine = ReadoutEngine.load(directory)
-            rollout = CanaryRollout(name, bundle_id, directory, engine, canary_fraction)
-            with self._canary_lock:
-                conflict = self._canary is not None and self._canary.active
-                if not conflict:
-                    self._canary = rollout
-            if conflict:
-                engine.close()
-                raise RuntimeError(
-                    "A canary rollout is already active; promote() or "
-                    "rollback() it before starting another"
-                )
-            self._telemetry.count("canary_rollouts")
-            return {
-                "canary": True,
-                "version": name,
-                "bundle_id": bundle_id,
-                "fraction": float(canary_fraction),
-            }
-        return self._swap_now(name, bundle_id, directory, timeout_s=timeout_s)
-
-    def _swap_now(
-        self,
-        name: str,
-        bundle_id: str,
-        directory: Path,
-        *,
-        timeout_s: float,
-        engine: ReadoutEngine | None = None,
-    ) -> dict:
-        """Run the drain-and-flip swap (inline before start, barrier after)."""
-        with self._lifecycle_lock:
-            if self._closed:
-                raise RuntimeError("ReadoutService is closed")
-            if not self._started:
-                # No batcher, nothing in flight: flip right here.
-                return self._apply_swap(name, bundle_id, directory, engine)
-        barrier = _SwapBarrier(
-            lambda: self._apply_swap(name, bundle_id, directory, engine)
-        )
+        name, bundle_id, directory = self._resolve_swap_target(version, bundle_dir)
+        self.start()
+        barrier = _SwapBarrier(lambda: self._apply_swap(name, bundle_id, directory))
         self._queue.put((_BARRIER_RANK, next(self._seq), barrier))
         if self._closed:
             # Raced with close(): make sure the barrier cannot sit
@@ -859,26 +791,19 @@ class ReadoutService:
             self._fail_pending(RuntimeError("ReadoutService was closed"))
         return barrier.future.result(timeout=timeout_s)
 
-    def _apply_swap(
-        self,
-        name: str,
-        bundle_id: str,
-        directory: Path,
-        engine: ReadoutEngine | None = None,
-    ) -> dict:
-        """The flip itself: runs with nothing in flight (barrier or pre-start).
+    def _apply_swap(self, name: str, bundle_id: str, directory: Path) -> dict:
+        """The flip itself: runs on the batcher at the drain barrier.
 
-        Per placement: in-process adopts a freshly loaded engine (or the
-        already-loaded canary candidate on promote) and closes the old one;
-        TCP placements swap through SWAP_REQUEST frames pinned to
-        ``bundle_id``.  A load failure raises *before* anything changed
+        Per placement: in-process adopts a freshly loaded engine and closes
+        the old one; TCP placements swap through SWAP_REQUEST frames pinned
+        to ``bundle_id``.  A load failure raises *before* anything changed
         in-process; for TCP placements the failing shard keeps its old
         engine and the error surfaces to the swap caller with earlier shards
         already swapped -- re-issue the swap (idempotent) or swap back to
         recover.
         """
         if self._mode == "inprocess":
-            candidate = engine if engine is not None else ReadoutEngine.load(directory)
+            candidate = ReadoutEngine.load(directory)
             old = self._engine
             owned = self._owns_engine
             self._engine = candidate
@@ -888,10 +813,6 @@ class ReadoutService:
                 # closed engines would still serve bit-identically anyway.
                 old.close()
         else:
-            if engine is not None:
-                # A promoted canary candidate was loaded front-end side;
-                # sharded placements load their own copy from the bundle.
-                engine.close()
             for shard in self._shards:
                 shard.swap(str(directory), expected_bundle_id=bundle_id)
         self._bundle_dir = directory
@@ -910,59 +831,6 @@ class ReadoutService:
             "transport": self._mode,
             "placements": self._placements,
         }
-
-    def canary_report(self) -> CanaryReport | None:
-        """The current (or last decided) rollout's evidence; None if never canaried."""
-        with self._canary_lock:
-            rollout = self._canary
-        return None if rollout is None else rollout.report()
-
-    def promote(self, *, timeout_s: float = 60.0) -> dict:
-        """Finish the active canary rollout: full swap to the candidate.
-
-        Routing stops first (in-flight canaried requests fall back to
-        baseline dispatch), then the ordinary drain-and-flip swap adopts
-        the candidate everywhere.  Returns the swap summary with the final
-        :class:`CanaryReport` under ``"report"``.
-        """
-        with self._canary_lock:
-            rollout = self._canary
-        if rollout is None or not rollout.active:
-            raise RuntimeError(
-                "promote() needs an active canary rollout; start one with "
-                "swap_bundle(..., canary_fraction=...)"
-            )
-        rollout.deactivate()
-        summary = self._swap_now(
-            rollout.version,
-            rollout.bundle_id,
-            rollout.bundle_dir,
-            timeout_s=timeout_s,
-            engine=rollout.engine,
-        )
-        self._bump(promotions=1)
-        self._telemetry.count("canary_promotions")
-        return {**summary, "promoted": True, "report": rollout.report()}
-
-    def rollback(self) -> CanaryReport:
-        """Abort the active canary rollout; baseline keeps serving untouched.
-
-        The candidate engine is closed (in-flight canaried requests still
-        finish -- closed engines serve, bit-identically) and the final
-        report is returned as the rollout's record of evidence.
-        """
-        with self._canary_lock:
-            rollout = self._canary
-        if rollout is None or not rollout.active:
-            raise RuntimeError(
-                "rollback() needs an active canary rollout; start one with "
-                "swap_bundle(..., canary_fraction=...)"
-            )
-        rollout.deactivate()
-        rollout.engine.close()
-        self._bump(rollbacks=1)
-        self._telemetry.count("canary_rollbacks")
-        return rollout.report()
 
     # ---------------------------------------------------------------- serving
     def submit(
@@ -1001,17 +869,6 @@ class ReadoutService:
         admission = self._admit(request, trace_id)
         if admission is not None:
             request = replace(request, output="states")
-        # The canary routing decision is made here, deterministically (the
-        # n-th eligible request, not a coin flip), and stamped on the entry
-        # so the batcher never coalesces canary and baseline traffic.
-        with self._canary_lock:
-            rollout = self._canary
-        canary = None
-        if rollout is not None and rollout.active:
-            if rollout.should_route():
-                canary = rollout
-            else:
-                rollout.record_baseline(1)
         future: Future = Future()
         entry = _Entry(
             request=request,
@@ -1019,7 +876,6 @@ class ReadoutService:
             trace_id=trace_id,
             enqueued_at=time.perf_counter(),
             admission=admission,
-            canary=canary,
         )
         with self._admission_lock:
             self._queued_depth[request.priority] += 1
@@ -1200,13 +1056,7 @@ class ReadoutService:
             self._bump(cancelled_requests=cancelled)
         groups: dict[tuple, list[_Entry]] = {}
         for entry in live:
-            # Canary entries get their own groups (keyed by rollout
-            # identity): a coalesced batch must be answered by exactly one
-            # engine, and the comparison needs clean per-engine timings.
-            key = self._compat_key(entry.request) + (
-                0 if entry.canary is None else id(entry.canary),
-            )
-            groups.setdefault(key, []).append(entry)
+            groups.setdefault(self._compat_key(entry.request), []).append(entry)
         for group in groups.values():
             try:
                 self._serve_group(group)
@@ -1245,7 +1095,7 @@ class ReadoutService:
             assembled = time.perf_counter()
             batch_s = assembled - t0
             self._telemetry.record("batch", batch_s)
-            result = self._dispatch_for(entry.request, trace_ids, group)
+            result = self._dispatch(entry.request, trace_ids)
             self._admission.observe(1, time.perf_counter() - assembled)
             degraded = 1 if result.meta.get("degraded") else 0
             queue_s = t0 - entry.enqueued_at if entry.enqueued_at else 0.0
@@ -1264,7 +1114,7 @@ class ReadoutService:
             assembled = time.perf_counter()
             batch_s = assembled - t0
             self._telemetry.record("batch", batch_s)
-            batch_result = self._dispatch_for(batch_request, trace_ids, group)
+            batch_result = self._dispatch(batch_request, trace_ids)
             self._admission.observe(len(group), time.perf_counter() - assembled)
             offset = 0
             for index, entry in enumerate(group):
@@ -1291,9 +1141,9 @@ class ReadoutService:
                 )
             batch_shots = int(batch.shape[0])
             degraded = len(group) if batch_result.meta.get("degraded") else 0
-        # One lock-guarded replace *after* dispatch: the dispatch itself may
-        # have bumped counters (the canary comparison's) that a pre-dispatch
-        # snapshot would silently roll back.
+        # One lock-guarded read-modify-write: submitters bump the admission
+        # counters concurrently, and a snapshot read outside the lock would
+        # silently roll their bumps back.
         with self._stats_lock:
             stats = self._stats
             self._stats = replace(
@@ -1341,92 +1191,6 @@ class ReadoutService:
         return out
 
     # --------------------------------------------------------------- dispatch
-    def _dispatch_for(
-        self,
-        request: ReadoutRequest,
-        trace_ids: list | None,
-        group: list[_Entry],
-    ) -> ReadoutResult:
-        """Route a (possibly coalesced) group: baseline, or canary-compared."""
-        rollout = group[0].canary
-        if rollout is None or not rollout.active:
-            # Entries stamped for a rollout that was decided (promoted or
-            # rolled back) while they queued serve as plain baseline.
-            return self._dispatch(request, trace_ids)
-        return self._dispatch_canary(request, trace_ids, group, rollout)
-
-    def _dispatch_canary(
-        self,
-        request: ReadoutRequest,
-        trace_ids: list | None,
-        group: list[_Entry],
-        rollout: CanaryRollout,
-    ) -> ReadoutResult:
-        """Serve one canaried group on *both* engines and compare bit-wise.
-
-        The baseline answer travels the normal placement (shards and all);
-        the candidate serves the same batch in-process on the front-end,
-        which works identically for in-process and TCP deployments.  The
-        caller receives the **candidate's** arrays (the canary is real
-        traffic exposure, not shadow logging) with the baseline's meta and a
-        ``"canary"`` record; disagreement counts and both latencies
-        accumulate in the rollout for :meth:`canary_report`.
-        """
-        t0 = time.perf_counter()
-        baseline = self._dispatch(request, trace_ids)
-        baseline_s = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        # A rollback can race this dispatch; closed engines still serve
-        # (sequentially, bit-identically), so the comparison stays valid.
-        candidate = rollout.engine.serve(request)
-        candidate_s = time.perf_counter() - t1
-        mismatch = np.zeros(int(request.payload.shape[0]), dtype=bool)
-        if baseline.states is not None and candidate.states is not None:
-            mismatch |= np.any(
-                np.asarray(baseline.states) != np.asarray(candidate.states),
-                axis=1,
-            )
-        if baseline.logits is not None and candidate.logits is not None:
-            mismatch |= np.any(
-                np.asarray(baseline.logits) != np.asarray(candidate.logits),
-                axis=1,
-            )
-        disagreeing_shots = int(mismatch.sum())
-        disagreeing_requests = 0
-        offset = 0
-        for entry in group:
-            shots = int(entry.request.payload.shape[0])
-            if mismatch[offset : offset + shots].any():
-                disagreeing_requests += 1
-            offset += shots
-        rollout.record_comparison(
-            len(group),
-            disagreeing_requests,
-            disagreeing_shots,
-            candidate_s,
-            baseline_s,
-        )
-        self._bump(
-            canary_requests=len(group),
-            canary_disagreements=disagreeing_requests,
-        )
-        self._telemetry.count("canary_requests", len(group))
-        if disagreeing_requests:
-            self._telemetry.count("canary_disagreements", disagreeing_requests)
-        return replace(
-            baseline,
-            states=candidate.states,
-            logits=candidate.logits,
-            meta={
-                **baseline.meta,
-                "canary": {
-                    "version": rollout.version,
-                    "engine": "candidate",
-                    "disagreeing_shots": disagreeing_shots,
-                },
-            },
-        )
-
     def _dispatch(
         self, request: ReadoutRequest, trace_ids: list | None = None
     ) -> ReadoutResult:

@@ -436,15 +436,6 @@ def format_metrics(snapshot: dict, title: str = "metrics") -> str:
             f"lifecycle: active_version={lifecycle.get('active_version')} "
             f"bundle_swaps={lifecycle.get('bundle_swaps', 0)}"
         )
-        canary = lifecycle.get("canary")
-        if canary:
-            lines.append(
-                f"canary: version={canary.get('version')} "
-                f"active={canary.get('active')} "
-                f"fraction={canary.get('canary_fraction')} "
-                f"routed={canary.get('canary_requests', 0)} "
-                f"disagreements={canary.get('disagreements', 0)}"
-            )
     return "\n".join(lines)
 
 

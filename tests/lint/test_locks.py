@@ -41,10 +41,18 @@ def test_guarded_fixture_is_clean(fixture_project):
 
 def test_registry_rot_is_itself_a_finding(fixture_project):
     project = fixture_project("locks_clean.py")
-    guards = {"locks_clean.py": {"Vanished": {"_x": "_lock"}}}
+    guards = {
+        "locks_clean.py": {
+            "Vanished": {"_x": "_lock"},
+            # A field the class never assigns: the ledger outlived the code.
+            "Stats": {"_count": "_lock", "_dropped": "_lock"},
+        }
+    }
     findings = LockChecker(guarded_by=guards).run(project)
-    assert len(findings) == 1
-    assert "no longer exists" in findings[0].message
+    assert len(findings) == 2
+    blob = " ".join(f.message for f in findings)
+    assert "class Vanished, which no longer exists" in blob
+    assert "Stats._dropped, which Stats never assigns through self._dropped" in blob
 
 
 def test_default_registry_names_only_real_repo_files():

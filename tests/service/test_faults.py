@@ -88,21 +88,29 @@ class TestFaultSchedule:
 
 
 class TestCloseRace:
+    @pytest.mark.parametrize(
+        "try_timeout_s", [1.0, None], ids=["per_try_deadline", "default_timeouts"]
+    )
     def test_close_during_redispatch_neither_hangs_nor_strands_futures(
-        self, chaos_server, service_bundle
+        self, chaos_server, service_bundle, try_timeout_s
     ):
         """close() must not wait for the retry budget while the batcher
-        fails a shard over and over: every reply stalls past the per-try
-        deadline, so spending the budget would take two minutes.  The
-        closing flag must abort the failover at its next dial, and the
-        in-flight future must resolve exactly once, with the abort error."""
+        fails a shard over and over, nor for the reply it is blocked on:
+        every reply stalls -- past a 1 s per-try deadline, or for the whole
+        default 30 s ``remote_timeout`` -- so waiting either out would take
+        minutes or 30 s.  close() shuts the shard sockets down, the blocked
+        read fails into the failover loop, the closing flag aborts it, and
+        the in-flight future resolves exactly once, with the abort error."""
         schedule = FaultSchedule(default="stall")
         with ChaosProxy(chaos_server.address, schedule, stall_s=600.0) as proxy:
             service = ReadoutService(
                 bundle_dir=service_bundle,
                 shard_hosts=[proxy.address],
                 retry=RetryPolicy(
-                    attempts=120, try_timeout_s=1.0, backoff_base_s=0.0, jitter_s=0.0
+                    attempts=120,
+                    try_timeout_s=try_timeout_s,
+                    backoff_base_s=0.0,
+                    jitter_s=0.0,
                 ),
             )
             try:
@@ -111,11 +119,11 @@ class TestCloseRace:
                 )
                 resolutions: list = []
                 future.add_done_callback(resolutions.append)
-                time.sleep(1.5)  # let the batcher reach the failover loop
+                time.sleep(1.5)  # let the batcher block on a stalled reply
                 started = time.monotonic()
                 service.close()
                 elapsed = time.monotonic() - started
-                assert elapsed < 30.0, f"close() took {elapsed:.1f}s"
+                assert elapsed < 5.0, f"close() took {elapsed:.1f}s"
                 assert future.done()
                 with pytest.raises(TransportError, match="closing"):
                     future.result(timeout=0)

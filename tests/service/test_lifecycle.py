@@ -1,15 +1,16 @@
 """Tests for the zero-downtime model lifecycle.
 
-Registry publish/resolve/gc, staging-watcher adoption, hot swaps under
-concurrent load on all three placements (with pre/post bit-identity and
-zero dropped requests), canary rollouts (deterministic routing,
-disagreement evidence, promote/rollback), and the swap edge cases: swaps
-queued behind in-flight micro-batches, swaps racing ``close()``, failed
-candidate loads, and idempotent retries answered across a swap.
+Registry publish/resolve/gc, staging-watcher adoption, hot swaps and swaps
+back under concurrent load on both placements (with pre/post bit-identity
+and zero dropped requests), and the swap edge cases: swaps before
+``start()``, swaps queued behind in-flight micro-batches, swaps racing
+``close()``, failed candidate loads, and idempotent retries answered across
+a swap.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 
@@ -27,7 +28,6 @@ from repro.engine import (
 )
 from repro.service import (
     BundleRegistry,
-    CanaryReport,
     ReadoutServer,
     ReadoutService,
     RegistryError,
@@ -229,8 +229,8 @@ class TestRegistryWatcher:
             RegistryWatcher(registry, poll_interval_s=0.0)
 
 
-def _swap_under_load(service, registry, request, ref_v1, ref_v2):
-    """Drive concurrent load across a swap; assert zero drops + bit-identity.
+def _swap_once(service, registry, version, request, ref_old, ref_new) -> int:
+    """Swap to ``version`` under concurrent load; returns the requests served.
 
     Pre-swap submissions are queued ahead of the swap barrier, so they must
     be answered bit-identically by the old engine; post-swap submissions by
@@ -249,38 +249,43 @@ def _swap_under_load(service, registry, request, ref_v1, ref_v2):
     racer = threading.Thread(target=_racer)
     racer.start()
     try:
-        summary = service.swap_bundle()
+        summary = service.swap_bundle(version)
     finally:
         stop.set()
         racer.join(timeout=60.0)
     post = [service.submit(request) for _ in range(12)]
 
     assert summary["swapped"] is True
-    assert summary["version"] == "v0002"
-    assert summary["bundle_id"] == registry.bundle_id("v0002")
+    assert summary["version"] == version
+    assert summary["bundle_id"] == registry.bundle_id(version)
     for future in pre:
         result = future.result(timeout=60.0)
-        np.testing.assert_array_equal(result.states, ref_v1[0])
-        np.testing.assert_array_equal(result.logits, ref_v1[1])
+        np.testing.assert_array_equal(result.states, ref_old[0])
+        np.testing.assert_array_equal(result.logits, ref_old[1])
     for future in post:
         result = future.result(timeout=60.0)
-        np.testing.assert_array_equal(result.states, ref_v2[0])
-        np.testing.assert_array_equal(result.logits, ref_v2[1])
-    matched_old = matched_new = 0
+        np.testing.assert_array_equal(result.states, ref_new[0])
+        np.testing.assert_array_equal(result.logits, ref_new[1])
     for future in racing:
         result = future.result(timeout=60.0)  # zero dropped requests
-        if np.array_equal(result.logits, ref_v1[1]):
-            matched_old += 1
-            np.testing.assert_array_equal(result.states, ref_v1[0])
-        else:
-            matched_new += 1
-            np.testing.assert_array_equal(result.states, ref_v2[0])
-            np.testing.assert_array_equal(result.logits, ref_v2[1])
+        expected = ref_old if np.array_equal(result.logits, ref_old[1]) else ref_new
+        np.testing.assert_array_equal(result.states, expected[0])
+        np.testing.assert_array_equal(result.logits, expected[1])
+    return len(pre) + len(post) + len(racing)
+
+
+def _swap_under_load(service, registry, request, ref_v1, ref_v2):
+    """Swap to v0002 and back to v0001, each under concurrent load.
+
+    Swapping back is the rollback: it takes the same drain barrier, so it
+    drops nothing and answers with v1's bits again.
+    """
+    served = _swap_once(service, registry, "v0002", request, ref_v1, ref_v2)
+    served += _swap_once(service, registry, "v0001", request, ref_v2, ref_v1)
     stats = service.stats
-    assert stats.bundle_swaps == 1
-    assert stats.active_version == "v0002"
-    assert stats.requests_served == len(pre) + len(post) + len(racing)
-    return matched_old, matched_new
+    assert stats.bundle_swaps == 2
+    assert stats.active_version == "v0001"
+    assert stats.requests_served == served
 
 
 class TestHotSwap:
@@ -302,9 +307,9 @@ class TestHotSwap:
             assert service.stats.active_version == ""
             _swap_under_load(service, loaded_registry, request, ref_v1, ref_v2)
             snapshot = service.metrics()
-        assert snapshot["lifecycle"]["active_version"] == "v0002"
-        assert snapshot["lifecycle"]["bundle_swaps"] == 1
-        assert snapshot["counters"]["bundle_swaps"] == 1
+        assert snapshot["lifecycle"]["active_version"] == "v0001"
+        assert snapshot["lifecycle"]["bundle_swaps"] == 2
+        assert snapshot["counters"]["bundle_swaps"] == 2
 
     def test_tcp_swap_under_concurrent_load(
         self, loaded_registry, service_engine, engine_v2, service_carriers
@@ -326,22 +331,46 @@ class TestHotSwap:
             for handle in servers:
                 handle.close()
 
-    def test_pre_start_swap_applies_inline(
-        self, loaded_registry, engine_v2, service_carriers
+    @pytest.mark.parametrize("placement", ["inprocess", "tcp"])
+    def test_pre_start_swap_reaches_every_placement(
+        self,
+        placement,
+        service_bundle,
+        bundle_v2,
+        service_engine,
+        engine_v2,
+        service_carriers,
     ):
+        """A swap before start() takes the one drain barrier: the request
+        queued ahead of it is answered by v1, the next one by v2 -- on the
+        in-process placement and on every TCP shard alike."""
         request = ReadoutRequest(raw=service_carriers, output="logits")
-        service = ReadoutService(
-            registry=loaded_registry,
-            bundle_dir=loaded_registry.resolve("v0001"),
-            autostart=False,
-        )
-        summary = service.swap_bundle("v0002")
+        with contextlib.ExitStack() as stack:
+            shard_hosts = None
+            if placement == "tcp":
+                shard_hosts = [
+                    stack.enter_context(ReadoutServer(service_bundle)).address
+                    for _ in range(2)
+                ]
+            service = ReadoutService(
+                bundle_dir=service_bundle,
+                shard_hosts=shard_hosts,
+                remote_timeout=60.0,
+                autostart=False,
+            )
+            stack.callback(service.close)
+            queued = service.submit(request)
+            summary = service.swap_bundle(bundle_dir=bundle_v2)
+            service.start()
+            post = service.serve(request)
+            stats = service.stats
+            queued_logits = queued.result(timeout=60.0).logits
         assert summary["swapped"] is True
-        with service:
-            result = service.serve(request)
         np.testing.assert_array_equal(
-            result.logits, engine_v2.serve(request).logits
+            queued_logits, service_engine.serve(request).logits
         )
+        np.testing.assert_array_equal(post.logits, engine_v2.serve(request).logits)
+        assert stats.bundle_swaps == 1
 
     def test_swap_without_registry_needs_bundle_dir(self, service_engine):
         with ReadoutService(engine=service_engine) as service:
@@ -476,172 +505,6 @@ class TestReplyCacheAcrossSwap:
         # The refused swap left the original deployment in place.
         manifest = json.loads((service_bundle / MANIFEST_NAME).read_text())
         assert info["bundle_id"] == manifest["bundle_id"]
-
-
-class TestCanary:
-    @pytest.fixture()
-    def loaded_registry(self, registry, bundle_v2):
-        registry.publish(bundle_v2)
-        return registry
-
-    def test_deterministic_fraction_and_meta(
-        self, loaded_registry, service_carriers
-    ):
-        request = ReadoutRequest(raw=service_carriers[:4], output="states")
-        with ReadoutService(
-            registry=loaded_registry,
-            bundle_dir=loaded_registry.resolve("v0001"),
-            max_wait_ms=0,
-        ) as service:
-            summary = service.swap_bundle("v0002", canary_fraction=0.5)
-            assert summary == {
-                "canary": True,
-                "version": "v0002",
-                "bundle_id": loaded_registry.bundle_id("v0002"),
-                "fraction": 0.5,
-            }
-            canaried = 0
-            for _ in range(10):
-                result = service.serve(request)
-                canaried += "canary" in result.meta
-            report = service.canary_report()
-            service.rollback()
-        # floor(n * 0.5) increments on every even n: exactly half canaried.
-        assert canaried == 5
-        assert report.active is True
-        assert report.canary_requests == 5
-        assert report.baseline_requests == 5
-        assert report.version == "v0002"
-
-    def test_identical_candidate_has_zero_disagreements(
-        self, registry, service_bundle, service_carriers
-    ):
-        # v0002 is a byte-identical republish of v0001.
-        registry.publish(service_bundle)
-        request = ReadoutRequest(raw=service_carriers, output="both")
-        with ReadoutService(
-            registry=registry,
-            bundle_dir=registry.resolve("v0001"),
-            max_wait_ms=0,
-        ) as service:
-            service.swap_bundle("v0002", canary_fraction=1.0)
-            for _ in range(4):
-                service.serve(request)
-            report = service.rollback()
-        assert isinstance(report, CanaryReport)
-        assert report.canary_requests == 4
-        assert report.disagreements == 0
-        assert report.disagreeing_shots == 0
-        assert report.candidate_latency["count"] == 4
-        assert report.baseline_latency["count"] == 4
-
-    def test_disagreeing_candidate_measured_and_served(
-        self, loaded_registry, service_engine, engine_v2, service_carriers
-    ):
-        request = ReadoutRequest(raw=service_carriers, output="both")
-        ref_v2 = _reference(engine_v2, request)
-        with ReadoutService(
-            registry=loaded_registry,
-            bundle_dir=loaded_registry.resolve("v0001"),
-            max_wait_ms=0,
-        ) as service:
-            service.swap_bundle("v0002", canary_fraction=1.0)
-            result = service.serve(request)
-            report = service.canary_report()
-            stats = service.stats
-            service.rollback()
-        # Canaried requests are *served* by the candidate...
-        np.testing.assert_array_equal(result.states, ref_v2[0])
-        np.testing.assert_array_equal(result.logits, ref_v2[1])
-        assert result.meta["canary"]["version"] == "v0002"
-        assert result.meta["canary"]["engine"] == "candidate"
-        # ...and the baseline comparison records the disagreement.
-        assert report.disagreements == 1
-        assert report.disagreeing_shots > 0
-        assert result.meta["canary"]["disagreeing_shots"] == report.disagreeing_shots
-        assert stats.canary_requests == 1
-        assert stats.canary_disagreements == 1
-
-    def test_promote_finishes_the_rollout(
-        self, loaded_registry, engine_v2, service_carriers
-    ):
-        request = ReadoutRequest(raw=service_carriers, output="both")
-        with ReadoutService(
-            registry=loaded_registry,
-            bundle_dir=loaded_registry.resolve("v0001"),
-            max_wait_ms=0,
-        ) as service:
-            service.swap_bundle("v0002", canary_fraction=0.5)
-            for _ in range(6):
-                service.serve(request)
-            outcome = service.promote()
-            post = service.serve(request)
-            stats = service.stats
-            snapshot = service.metrics()
-        assert outcome["promoted"] is True
-        assert outcome["swapped"] is True
-        assert outcome["version"] == "v0002"
-        assert outcome["report"].canary_requests == 3
-        assert outcome["report"].active is False
-        np.testing.assert_array_equal(post.logits, engine_v2.serve(request).logits)
-        assert stats.promotions == 1
-        assert stats.bundle_swaps == 1
-        assert stats.active_version == "v0002"
-        assert snapshot["lifecycle"]["canary"]["active"] is False
-
-    def test_rollback_aborts_the_rollout(
-        self, loaded_registry, service_engine, service_carriers
-    ):
-        request = ReadoutRequest(raw=service_carriers, output="both")
-        ref_v1 = _reference(service_engine, request)
-        with ReadoutService(
-            registry=loaded_registry,
-            bundle_dir=loaded_registry.resolve("v0001"),
-            max_wait_ms=0,
-        ) as service:
-            service.swap_bundle("v0002", canary_fraction=1.0)
-            service.serve(request)
-            report = service.rollback()
-            post = service.serve(request)
-            stats = service.stats
-        assert report.active is False
-        assert report.canary_requests == 1
-        # Baseline untouched: still serving v1 bits, no swap counted.
-        np.testing.assert_array_equal(post.logits, ref_v1[1])
-        assert stats.rollbacks == 1
-        assert stats.bundle_swaps == 0
-        assert stats.active_version == ""
-
-    def test_second_canary_requires_a_decision(
-        self, loaded_registry, service_carriers
-    ):
-        with ReadoutService(
-            registry=loaded_registry, bundle_dir=loaded_registry.resolve("v0001")
-        ) as service:
-            service.swap_bundle("v0002", canary_fraction=0.1)
-            with pytest.raises(RuntimeError, match="already active"):
-                service.swap_bundle("v0002", canary_fraction=0.1)
-            service.rollback()
-            # Decided: a new rollout may start.
-            service.swap_bundle("v0002", canary_fraction=0.1)
-            service.rollback()
-
-    def test_promote_and_rollback_need_an_active_rollout(self, service_engine):
-        with ReadoutService(engine=service_engine) as service:
-            assert service.canary_report() is None
-            with pytest.raises(RuntimeError, match="active canary"):
-                service.promote()
-            with pytest.raises(RuntimeError, match="active canary"):
-                service.rollback()
-
-    def test_invalid_fraction(self, loaded_registry):
-        with ReadoutService(
-            registry=loaded_registry, bundle_dir=loaded_registry.resolve("v0001")
-        ) as service:
-            with pytest.raises(ValueError, match="canary_fraction"):
-                service.swap_bundle("v0002", canary_fraction=0.0)
-            with pytest.raises(ValueError, match="canary_fraction"):
-                service.swap_bundle("v0002", canary_fraction=1.5)
 
 
 class TestLifecycleEndToEnd:

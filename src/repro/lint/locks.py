@@ -32,6 +32,7 @@ guarantee auditable.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.lint.astutil import dotted_name, iter_functions
@@ -48,7 +49,6 @@ GUARDED_BY: dict[str, dict[str, dict[str, str]]] = {
     "src/repro/service/service.py": {
         "ReadoutService": {
             "_stats": "_stats_lock",
-            "_queued_depth": "_admission_lock",
             "_started": "_lifecycle_lock",
             "_closed": "_lifecycle_lock",
         },
@@ -66,7 +66,6 @@ GUARDED_BY: dict[str, dict[str, dict[str, str]]] = {
             "_max_s": "_lock",
         },
         "TelemetryRecorder": {"_counters": "_counter_lock"},
-        "AdmissionController": {"_cost_s": "_lock", "_observations": "_lock"},
     },
     "src/repro/service/net.py": {
         "ServingCore": {
@@ -147,24 +146,31 @@ def _self_field(node: ast.AST) -> str | None:
     return None
 
 
+def _unpacked_targets(targets: list[ast.expr]) -> Iterator[ast.expr]:
+    """The single targets an assignment writes, in order: ``Tuple``/``List``
+    targets unpacked and ``Starred`` ones unwrapped, at any depth."""
+    for target in targets:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            yield from _unpacked_targets(target.elts)
+        elif isinstance(target, ast.Starred):
+            yield from _unpacked_targets([target.value])
+        else:
+            yield target
+
+
 def _assigned_fields(cls: ast.ClassDef) -> set[str]:
     """Every field the class assigns through ``self.<field>`` (tuple targets
     unpacked; attribute/subscript chains count for their root field)."""
     fields: set[str] = set()
     for node in ast.walk(cls):
         if isinstance(node, ast.Assign):
-            pending = list(node.targets)
+            targets = node.targets
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            pending = [node.target]
+            targets = [node.target]
         else:
             continue
-        while pending:
-            target = pending.pop()
-            if isinstance(target, (ast.Tuple, ast.List)):
-                pending.extend(target.elts)
-            elif isinstance(target, ast.Starred):
-                pending.append(target.value)
-            elif (field_name := _self_field(target)) is not None:
+        for target in _unpacked_targets(targets):
+            if (field_name := _self_field(target)) is not None:
                 fields.add(field_name)
     return fields
 
@@ -246,7 +252,7 @@ class _FunctionAuditor(ast.NodeVisitor):
             )
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
+        for target in _unpacked_targets(node.targets):
             self._check_write(target, node)
         self.visit(node.value)
 

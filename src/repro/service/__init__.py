@@ -41,10 +41,11 @@ fault-injection harness that keeps the self-healing paths honest,
 the versioned :class:`BundleRegistry` and the staging
 :class:`RegistryWatcher` that feed ``service.swap_bundle()`` -- and
 :mod:`repro.service.telemetry` for the traffic-tier observability layer --
-per-request trace ids, per-stage latency histograms
+per-request trace ids and per-stage latency histograms
 (``service.metrics()``, the METRICS wire frame,
-``python -m repro.service.telemetry host:port``), and SLO-bounded
-admission control (``slo_budget_ms=...``).
+``python -m repro.service.telemetry host:port``).  Every answer is the
+engine's exact answer on every placement; a request the deployment cannot
+answer fails with a typed error, never with a partial result.
 """
 
 import os as _os
@@ -67,8 +68,6 @@ from repro.service.retry import RetryPolicy
 from repro.service.health import HostHealth, HostPool
 from repro.service.telemetry import (
     STAGES,
-    AdmissionController,
-    AdmissionError,
     LatencyHistogram,
     TelemetryRecorder,
     new_trace_id,
@@ -101,8 +100,6 @@ __all__ = [
     "HostHealth",
     "HostPool",
     "STAGES",
-    "AdmissionController",
-    "AdmissionError",
     "LatencyHistogram",
     "TelemetryRecorder",
     "new_trace_id",

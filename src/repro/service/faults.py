@@ -163,8 +163,8 @@ class ChaosTransport:
     def is_alive(self) -> bool:
         return self.inner.is_alive()
 
-    def close(self, timeout: float = 5.0) -> None:
-        self.inner.close(timeout)
+    def close(self) -> None:
+        self.inner.close()
 
     def __getattr__(self, name: str):
         # qubits / qubit_set / shard_index / counters / swap / ...: the

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.service.telemetry import LatencyHistogram
 
@@ -75,7 +75,6 @@ class _PoolCounters:
     readmissions: int = 0
     recorded_failures: int = 0
     recorded_successes: int = 0
-    _extra: dict = field(default_factory=dict)
 
 
 class HostPool:

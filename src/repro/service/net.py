@@ -105,10 +105,10 @@ class TransportTimeoutError(TransportError):
 class AllReplicasDownError(TransportError):
     """Every replica of a shard placement failed within the retry budget.
 
-    The typed signal :class:`~repro.service.ReadoutService` turns into
-    graceful degradation (``degraded_ok=True``) or a bounded-deadline
-    failure -- distinct from a single-connection :class:`TransportError`,
-    which the failover loop absorbs.
+    :class:`~repro.service.ReadoutService` fails the requests of the
+    dispatch with it, within the policy's bounded deadline -- distinct from
+    a single-connection :class:`TransportError`, which the failover loop
+    absorbs.
     """
 
 
@@ -1084,11 +1084,11 @@ class TcpShardTransport:
     the optional :class:`~repro.service.health.HostPool` -- and resends
     every still-unanswered frame in order.  A frame reaches servers at most
     ``retry.attempts`` times; once its tries are spent the transport raises
-    :class:`AllReplicasDownError`, the typed signal the service turns into
-    graceful degradation.  Whenever the policy can resend, frames carry an
-    idempotent ``request_id`` in wire meta, so a server that already
-    answered a resent frame replays its cached reply instead of serving it
-    twice: failover is exactly-once from the caller's point of view.
+    :class:`AllReplicasDownError`, which fails the service's dispatch.
+    Whenever the policy can resend, frames carry an idempotent
+    ``request_id`` in wire meta, so a server that already answered a
+    resent frame replays its cached reply instead of serving it twice:
+    failover is exactly-once from the caller's point of view.
 
     ``retry=None`` is fail-fast (``RetryPolicy(attempts=1)``): the first
     failure surfaces as :class:`AllReplicasDownError` saying the server
@@ -1367,7 +1367,7 @@ class TcpShardTransport:
         """Whether the placement can still answer submitted work."""
         return not self._closed and self._active is not None
 
-    def close(self, timeout: float = 5.0) -> None:
+    def close(self) -> None:
         """Drop every replica connection (the remote servers keep running)."""
         self._closed = True
         self._pending.clear()

@@ -49,15 +49,10 @@ from repro.engine.request import (
 )
 from repro.service.health import HostPool
 from repro.service.lifecycle import BundleRegistry
-from repro.service.net import RemoteEngineClient, TcpShardTransport, TransportError
+from repro.service.net import RemoteEngineClient, TcpShardTransport
 from repro.service.retry import RetryPolicy
 from repro.service.sharding import partition_qubits, replica_addresses
-from repro.service.telemetry import (
-    AdmissionController,
-    AdmissionError,
-    TelemetryRecorder,
-    new_trace_id,
-)
+from repro.service.telemetry import TelemetryRecorder, new_trace_id
 
 __all__ = ["ReadoutService", "ServiceStats"]
 
@@ -83,7 +78,7 @@ class _SwapBarrier:
 
     The batcher dispatches micro-batches synchronously on its own thread,
     so the moment it dequeues a barrier **no micro-batch is in flight** --
-    it runs ``plan()`` right there (load-verified engines flip atomically)
+    it runs ``plan()`` right there (a preloaded engine flips atomically)
     and resolves ``future`` with the outcome.  ``future`` quacks enough
     like an :class:`_Entry`'s for :meth:`ReadoutService._fail_pending` to
     fail a barrier stranded by :meth:`~ReadoutService.close`.
@@ -110,18 +105,10 @@ class ServiceStats:
     :class:`~repro.engine.request.ReadoutResult` carries in its ``meta``.
 
     The resilience counters record every self-healing event: ``failovers``
-    (a TCP shard switched replica), ``degraded_requests`` (requests
-    answered with a recorded gap because every replica of a shard was down
-    and ``degraded_ok=True``), and ``hosts_ejected`` /
+    (a TCP shard switched replica) and ``hosts_ejected`` /
     ``hosts_readmitted`` (health-pool membership changes).  All stay zero
     on a healthy deployment -- a non-zero value is direct evidence the
     corresponding recovery path ran.
-
-    The admission counters record the bounded-latency mode
-    (``slo_budget_ms``): ``shed_requests`` were rejected with
-    :class:`~repro.service.telemetry.AdmissionError` because their
-    predicted queue wait exceeded the budget; ``degraded_admissions`` were
-    accepted but downgraded to states-only (``degraded_ok=True``) instead.
 
     The lifecycle counters record the zero-downtime model rollout path:
     ``bundle_swaps`` counts atomic engine flips at the drain barrier (a
@@ -141,11 +128,8 @@ class ServiceStats:
     largest_batch_shots: int = 0
     cancelled_requests: int = 0
     failovers: int = 0
-    degraded_requests: int = 0
     hosts_ejected: int = 0
     hosts_readmitted: int = 0
-    shed_requests: int = 0
-    degraded_admissions: int = 0
     bundle_swaps: int = 0
     transport: str = "inprocess"
     placements: int = 1
@@ -159,16 +143,18 @@ class _Entry:
     future: Future
     #: Minted at the submit edge (None with telemetry off); echoed back in
     #: ``ReadoutResult.meta["trace_id"]``.
-    trace_id: str | None = None
+    trace_id: str | None
     #: ``time.perf_counter()`` at enqueue -- the queue-wait stage clock.
-    enqueued_at: float = 0.0
-    #: Set when admission control degraded this request to states-only:
-    #: records the original output and the predicted wait that triggered it.
-    admission: dict | None = None
+    enqueued_at: float
 
 
 class ReadoutService:
     """Serve many concurrent :class:`ReadoutRequest`\\ s through one deployment.
+
+    Every request takes one path -- :meth:`submit`, the priority queue,
+    one micro-batch dispatch -- and resolves with the engine's exact answer
+    or a typed error; the service never sheds a request or answers with a
+    partial result.
 
     Parameters
     ----------
@@ -216,12 +202,8 @@ class ReadoutService:
         reaches servers at most ``attempts`` times).  ``None`` makes
         single-address placements fail fast (the first failure surfaces),
         while replica lists in ``shard_hosts`` still get a default policy.
-    degraded_ok:
-        Opt in to partial answers: when every replica of a shard stays down
-        past the retry budget, requests resolve with the healthy shards'
-        columns and the gap recorded in ``ReadoutResult.meta["degraded"]``
-        (missing states are ``-1``, missing logits ``NaN``) instead of
-        failing.  Off by default -- unhealthy deployments fail loudly
+        A shard whose replicas all stay down past the policy fails the
+        request with :class:`~repro.service.net.AllReplicasDownError`
         within the policy's bounded deadline.
     probe_interval_s:
         Period of the background health prober for remote placements
@@ -231,26 +213,11 @@ class ReadoutService:
     failover_seed:
         Seed for the backoff jitter of failover loops, so fault tests
         replay an exact schedule.  ``None`` (default) is wall-clock random.
-    slo_budget_ms:
-        Bounded-latency mode: when the *predicted* queue wait of a new
-        request (entries ahead of it times an EWMA of per-request dispatch
-        cost) exceeds this budget, :meth:`submit` sheds it with
-        :class:`~repro.service.telemetry.AdmissionError` -- or, with
-        ``degraded_ok=True`` and a request asking for logits, degrades it
-        to states-only with the decision recorded in
-        ``meta["admission"]``.  ``None`` (default) admits everything.
-        ``"feedback"``-priority requests only wait behind other feedback
-        requests, so they both preempt bulk traffic *and* are shed later.
-    slo_initial_cost_ms:
-        Seed for the per-request cost estimate (``None`` = learn from the
-        first dispatch).  Deterministic admission tests and the overload
-        bench set it so shed decisions do not depend on warm-up timing.
     telemetry:
         Record per-stage latency histograms and mint per-request trace ids
         (:meth:`metrics`, ``meta["trace_id"]``/``meta["stage_ms"]``).  On
         by default; ``False`` removes the instrumentation from the hot
-        path (the overhead benchmark's A/B switch).  Admission control
-        works either way.
+        path (the overhead benchmark's A/B switch).
     autostart:
         Start the batcher (and shards) on the first :meth:`submit`.  Pass
         False to queue requests first and :meth:`start` later -- then the
@@ -277,11 +244,8 @@ class ReadoutService:
         remote_timeout: float = 30.0,
         connect_timeout: float = 5.0,
         retry: RetryPolicy | None = None,
-        degraded_ok: bool = False,
         probe_interval_s: float = 0.0,
         failover_seed: int | None = None,
-        slo_budget_ms: float | None = None,
-        slo_initial_cost_ms: float | None = None,
         telemetry: bool = True,
         autostart: bool = True,
         registry: BundleRegistry | None = None,
@@ -292,11 +256,6 @@ class ReadoutService:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if slo_budget_ms is not None and slo_budget_ms <= 0:
-            raise ValueError(
-                "slo_budget_ms must be > 0 (or None to admit everything), "
-                f"got {slo_budget_ms}"
-            )
         self.registry = registry
         initial_version = ""
         if engine is None and bundle_dir is None and not shard_hosts:
@@ -312,7 +271,6 @@ class ReadoutService:
         self._remote_timeout = float(remote_timeout)
         self._connect_timeout = float(connect_timeout)
         self._retry = retry if retry is not None else RetryPolicy()
-        self._degraded_ok = bool(degraded_ok)
         self._probe_interval_s = float(probe_interval_s)
         self._failover_seed = failover_seed
         self._autostart = bool(autostart)
@@ -401,20 +359,6 @@ class ReadoutService:
             active_version=initial_version,
         )
         self._telemetry = TelemetryRecorder(enabled=bool(telemetry))
-        self._slo_budget_s = (
-            None if slo_budget_ms is None else float(slo_budget_ms) / 1000.0
-        )
-        self._admission = AdmissionController(
-            initial_cost_s=(
-                None
-                if slo_initial_cost_ms is None
-                else float(slo_initial_cost_ms) / 1000.0
-            )
-        )
-        # Queued-but-not-yet-dispatched entries per priority class: the
-        # depth the admission predictor multiplies by the cost estimate.
-        self._admission_lock = threading.Lock()
-        self._queued_depth = {priority: 0 for priority in PRIORITY_CLASSES}
 
     # -------------------------------------------------------------- planning
     def _deployment_layout(self) -> dict:
@@ -541,8 +485,8 @@ class ReadoutService:
         Per-stage latency histograms (:data:`~repro.service.telemetry.STAGES`:
         queue-wait, batch-assembly, shard-dispatch, wire round-trip, engine
         compute) as count/mean/p50/p95/p99 summaries plus mergeable bucket
-        counts, the event counters, the :attr:`stats` snapshot, the SLO
-        admission state, and -- for replicated deployments -- the host
+        counts, the event counters, the :attr:`stats` snapshot, the model
+        lifecycle state, and -- for replicated deployments -- the host
         pool's health view.  The stage histograms are recorded on the
         service side of every dispatch, so the same five stages are
         populated whichever transport a placement uses.
@@ -555,7 +499,7 @@ class ReadoutService:
         report an ``"error"`` entry instead of failing the call.
         """
         # One read: each read of ``stats`` re-folds the live transport and
-        # pool counters, so the stats, slo and lifecycle blocks must share it.
+        # pool counters, so the stats and lifecycle blocks must share it.
         stats = self.stats
         snapshot = self._telemetry.snapshot()
         snapshot.update(
@@ -563,20 +507,6 @@ class ReadoutService:
             transport=self._mode,
             placements=self._placements,
             stats=asdict(stats),
-            slo={
-                "budget_ms": (
-                    None
-                    if self._slo_budget_s is None
-                    else self._slo_budget_s * 1e3
-                ),
-                "cost_estimate_ms": (
-                    None
-                    if self._admission.cost_s is None
-                    else self._admission.cost_s * 1e3
-                ),
-                "shed_requests": stats.shed_requests,
-                "degraded_admissions": stats.degraded_admissions,
-            },
         )
         snapshot["lifecycle"] = {
             "active_version": stats.active_version or None,
@@ -762,15 +692,17 @@ class ReadoutService:
     ) -> dict:
         """Swap the served model to a new bundle with zero dropped requests.
 
-        A barrier rides the request queue behind the already-queued backlog;
-        when the batcher reaches it no micro-batch is in flight, and the new
-        engine -- loaded and checksum-verified there, before anything flips
-        -- replaces the old one atomically.  Every request submitted before
-        the swap is answered bit-identically by the old engine, every one
-        after by the new (in-process directly; TCP placements via the
-        ``SWAP_REQUEST`` wire frame, pinned to this bundle's id).  A
-        candidate that fails to load raises here and changes nothing -- the
-        old engine keeps serving.
+        In-process, the candidate engine is loaded and checksum-verified
+        here, on the caller's thread, so queued requests never wait for a
+        load.  Then a barrier rides the request queue behind the
+        already-queued backlog; when the batcher reaches it no micro-batch
+        is in flight, and the new engine replaces the old one atomically.
+        Every request submitted before the swap is answered bit-identically
+        by the old engine, every one after by the new (in-process directly;
+        TCP placements via the ``SWAP_REQUEST`` wire frame, pinned to this
+        bundle's id, each server loading the candidate when it receives
+        the frame).  A candidate that fails to load raises here and changes
+        nothing -- the old engine keeps serving.
 
         A swap before :meth:`start` starts the service first, so it takes
         the same barrier: requests queued under ``autostart=False`` are
@@ -783,7 +715,18 @@ class ReadoutService:
         """
         name, bundle_id, directory = self._resolve_swap_target(version, bundle_dir)
         self.start()
-        barrier = _SwapBarrier(lambda: self._apply_swap(name, bundle_id, directory))
+        candidate = ReadoutEngine.load(directory) if not self.sharded else None
+        barrier = _SwapBarrier(
+            lambda: self._apply_swap(name, bundle_id, directory, candidate)
+        )
+        if candidate is not None:
+
+            def _close_unadopted(future: Future) -> None:
+                # A barrier failed by a racing close() never flipped.
+                if future.exception() is not None:
+                    candidate.close()
+
+            barrier.future.add_done_callback(_close_unadopted)
         self._queue.put((_BARRIER_RANK, next(self._seq), barrier))
         if self._closed:
             # Raced with close(): make sure the barrier cannot sit
@@ -791,19 +734,24 @@ class ReadoutService:
             self._fail_pending(RuntimeError("ReadoutService was closed"))
         return barrier.future.result(timeout=timeout_s)
 
-    def _apply_swap(self, name: str, bundle_id: str, directory: Path) -> dict:
+    def _apply_swap(
+        self,
+        name: str,
+        bundle_id: str,
+        directory: Path,
+        candidate: ReadoutEngine | None,
+    ) -> dict:
         """The flip itself: runs on the batcher at the drain barrier.
 
-        Per placement: in-process adopts a freshly loaded engine and closes
-        the old one; TCP placements swap through SWAP_REQUEST frames pinned
-        to ``bundle_id``.  A load failure raises *before* anything changed
-        in-process; for TCP placements the failing shard keeps its old
-        engine and the error surfaces to the swap caller with earlier shards
-        already swapped -- re-issue the swap (idempotent) or swap back to
-        recover.
+        Per placement: in-process adopts the ``candidate`` engine that
+        :meth:`swap_bundle` already loaded and closes the old one; TCP
+        placements swap through SWAP_REQUEST frames pinned to
+        ``bundle_id``.  For TCP placements a failing shard keeps its old
+        engine and the error surfaces to the swap caller with earlier
+        shards already swapped -- re-issue the swap (idempotent) or swap
+        back to recover.
         """
-        if self._mode == "inprocess":
-            candidate = ReadoutEngine.load(directory)
+        if candidate is not None:
             old = self._engine
             owned = self._owns_engine
             self._engine = candidate
@@ -848,12 +796,10 @@ class ReadoutService:
         ``trace_id`` threads a caller-minted trace id through the request
         (one is minted here otherwise, telemetry permitting); it travels in
         the wire ``meta`` across every placement and comes back in
-        ``ReadoutResult.meta["trace_id"]``.  Under ``slo_budget_ms`` the
-        request may be shed here with
-        :class:`~repro.service.telemetry.AdmissionError` -- before it is
-        queued, so a shed request costs the caller nothing but the check.
-        ``request.priority`` orders the queue: ``"feedback"`` entries
-        dispatch before queued ``"bulk"`` entries.
+        ``ReadoutResult.meta["trace_id"]``.  ``request.priority`` orders
+        the queue: ``"feedback"`` entries dispatch before queued ``"bulk"``
+        entries.  Every queued request is served; the future resolves with
+        the engine's exact answer or the typed error that stopped it.
         """
         if self._closed:
             raise RuntimeError("ReadoutService is closed")
@@ -866,19 +812,13 @@ class ReadoutService:
             self.start()
         if trace_id is None and self._telemetry.enabled:
             trace_id = new_trace_id()
-        admission = self._admit(request, trace_id)
-        if admission is not None:
-            request = replace(request, output="states")
         future: Future = Future()
         entry = _Entry(
             request=request,
             future=future,
             trace_id=trace_id,
             enqueued_at=time.perf_counter(),
-            admission=admission,
         )
-        with self._admission_lock:
-            self._queued_depth[request.priority] += 1
         self._queue.put(
             (_PRIORITY_RANK[request.priority], next(self._seq), entry)
         )
@@ -887,52 +827,6 @@ class ReadoutService:
             # gone, so make sure this entry cannot sit unresolved forever.
             self._fail_pending(RuntimeError("ReadoutService was closed"))
         return future
-
-    def _admit(self, request: ReadoutRequest, trace_id: str | None) -> dict | None:
-        """The SLO admission decision: admit, degrade, or shed.
-
-        Predicts this request's queue wait as (entries it must wait behind)
-        x (EWMA per-request dispatch cost).  A ``"feedback"`` request only
-        waits behind queued feedback entries -- the priority queue
-        dispatches it past bulk traffic -- so it is both served first and
-        shed last.  Returns ``None`` (admitted untouched) or the record to
-        stamp into ``meta["admission"]`` (admitted, degraded to
-        states-only); raises :class:`AdmissionError` when the wait exceeds
-        the budget and degrading is not allowed.
-        """
-        if self._slo_budget_s is None:
-            return None
-        rank = _PRIORITY_RANK[request.priority]
-        with self._admission_lock:
-            depth = sum(
-                self._queued_depth[priority]
-                for priority in PRIORITY_CLASSES
-                if _PRIORITY_RANK[priority] <= rank
-            )
-        predicted = self._admission.predicted_wait_s(depth)
-        if predicted <= self._slo_budget_s:
-            return None
-        predicted_ms = predicted * 1e3
-        budget_ms = self._slo_budget_s * 1e3
-        if self._degraded_ok and request.output != "states":
-            self._bump(degraded_admissions=1)
-            self._telemetry.count("degraded_admissions")
-            return {
-                "degraded_to": "states",
-                "original_output": request.output,
-                "predicted_wait_ms": predicted_ms,
-                "budget_ms": budget_ms,
-            }
-        self._bump(shed_requests=1)
-        self._telemetry.count("shed_requests")
-        raise AdmissionError(
-            f"predicted queue wait {predicted_ms:.1f} ms exceeds the "
-            f"{budget_ms:.1f} ms SLO budget ({depth} queued request(s) "
-            "ahead)",
-            trace_id=trace_id,
-            predicted_wait_ms=predicted_ms,
-            budget_ms=budget_ms,
-        )
 
     def serve(self, request: ReadoutRequest) -> ReadoutResult:
         """Submit one request and block for its result."""
@@ -963,18 +857,6 @@ class ReadoutService:
         )
 
     # ----------------------------------------------------------- batcher loop
-    def _pop_entry(self, item) -> _Entry:
-        """Unwrap a ``(rank, seq, entry)`` queue item, keeping depth books.
-
-        The dequeued entry is no longer *ahead of* anyone, so the admission
-        predictor's per-class depth drops here, symmetrically with the
-        increment in :meth:`submit`.
-        """
-        entry = item[2]
-        with self._admission_lock:
-            self._queued_depth[entry.request.priority] -= 1
-        return entry
-
     def _batch_loop(self) -> None:
         while True:
             item = self._queue.get()
@@ -985,7 +867,7 @@ class ReadoutService:
                 # so this IS the drain barrier: run the flip right here.
                 self._run_swap(item[2])
                 continue
-            entries = [self._pop_entry(item)]
+            entries = [item[2]]
             deadline = time.monotonic() + self.max_wait_s
             shutdown = False
             barrier: _SwapBarrier | None = None
@@ -1011,7 +893,7 @@ class ReadoutService:
                     # it on the old engine first, then flip.
                     barrier = nxt[2]
                     break
-                entries.append(self._pop_entry(nxt))
+                entries.append(nxt[2])
             self._serve_entries(entries)
             if barrier is not None:
                 self._run_swap(barrier)
@@ -1082,68 +964,54 @@ class ReadoutService:
     def _serve_group(self, group: list[_Entry]) -> None:
         # Stage clocks: queue-wait ends for every entry the moment its
         # group is picked up; batch-assembly is the concatenation work;
-        # the dispatch interval feeds both the admission cost EWMA and the
-        # shard/wire/compute stages recorded inside _dispatch.
+        # the shard/wire/compute stages are recorded inside _dispatch.
         t0 = time.perf_counter()
         if self._telemetry.enabled:
             for entry in group:
-                if entry.enqueued_at:
-                    self._telemetry.record("queue", t0 - entry.enqueued_at)
-        trace_ids = [entry.trace_id for entry in group]
-        if len(group) == 1:
-            entry = group[0]
-            assembled = time.perf_counter()
-            batch_s = assembled - t0
-            self._telemetry.record("batch", batch_s)
-            result = self._dispatch(entry.request, trace_ids)
-            self._admission.observe(1, time.perf_counter() - assembled)
-            degraded = 1 if result.meta.get("degraded") else 0
-            queue_s = t0 - entry.enqueued_at if entry.enqueued_at else 0.0
+                self._telemetry.record("queue", t0 - entry.enqueued_at)
+        coalesced = len(group) > 1
+        request = group[0].request
+        if coalesced:
+            request = request.with_payload(
+                np.concatenate([entry.request.payload for entry in group], axis=0)
+            )
+        batch_s = time.perf_counter() - t0
+        self._telemetry.record("batch", batch_s)
+        result = self._dispatch(request, [entry.trace_id for entry in group])
+        meta = dict(result.meta)
+        # A transport-echoed trace id (proof it crossed the wire and came
+        # back) wins over the locally remembered one; both are the same
+        # value on a healthy path.
+        echoed = meta.pop("trace_ids", None) or []
+        offset = 0
+        for index, entry in enumerate(group):
+            shots = entry.request.payload.shape[0]
+            rows = slice(offset, offset + shots)
+            offset += shots
+            entry_meta = dict(meta)
+            trace_id = echoed[index] if index < len(echoed) else entry.trace_id
+            if trace_id is not None:
+                entry_meta["trace_id"] = trace_id
+            if self._telemetry.enabled:
+                entry_meta["stage_ms"] = {
+                    **(meta.get("stage_ms") or {}),
+                    "queue": (t0 - entry.enqueued_at) * 1e3,
+                    "batch": batch_s * 1e3,
+                }
+            if coalesced:
+                entry_meta["microbatch_requests"] = len(group)
+                entry_meta["microbatch_shots"] = result.n_shots
             entry.future.set_result(
                 replace(
                     result,
-                    meta=self._finish_meta(
-                        result.meta, entry, 0, queue_s, batch_s
-                    ),
+                    states=None if result.states is None else result.states[rows],
+                    logits=None if result.logits is None else result.logits[rows],
+                    n_shots=shots,
+                    meta=entry_meta,
                 )
             )
-            batch_shots = result.n_shots
-        else:
-            batch = np.concatenate([entry.request.payload for entry in group], axis=0)
-            batch_request = group[0].request.with_payload(batch)
-            assembled = time.perf_counter()
-            batch_s = assembled - t0
-            self._telemetry.record("batch", batch_s)
-            batch_result = self._dispatch(batch_request, trace_ids)
-            self._admission.observe(len(group), time.perf_counter() - assembled)
-            offset = 0
-            for index, entry in enumerate(group):
-                shots = entry.request.payload.shape[0]
-                rows = slice(offset, offset + shots)
-                offset += shots
-                queue_s = t0 - entry.enqueued_at if entry.enqueued_at else 0.0
-                entry.future.set_result(
-                    replace(
-                        batch_result,
-                        states=None if batch_result.states is None
-                        else batch_result.states[rows],
-                        logits=None if batch_result.logits is None
-                        else batch_result.logits[rows],
-                        n_shots=shots,
-                        meta={
-                            **self._finish_meta(
-                                batch_result.meta, entry, index, queue_s, batch_s
-                            ),
-                            "microbatch_requests": len(group),
-                            "microbatch_shots": int(batch.shape[0]),
-                        },
-                    )
-                )
-            batch_shots = int(batch.shape[0])
-            degraded = len(group) if batch_result.meta.get("degraded") else 0
-        # One lock-guarded read-modify-write: submitters bump the admission
-        # counters concurrently, and a snapshot read outside the lock would
-        # silently roll their bumps back.
+        # One lock-guarded read-modify-write: a snapshot read outside the
+        # lock could interleave with another stats writer and roll it back.
         with self._stats_lock:
             stats = self._stats
             self._stats = replace(
@@ -1151,44 +1019,10 @@ class ReadoutService:
                 requests_served=stats.requests_served + len(group),
                 batches=stats.batches + 1,
                 coalesced_requests=stats.coalesced_requests
-                + (len(group) if len(group) > 1 else 0),
+                + (len(group) if coalesced else 0),
                 largest_batch_requests=max(stats.largest_batch_requests, len(group)),
-                largest_batch_shots=max(stats.largest_batch_shots, batch_shots),
-                degraded_requests=stats.degraded_requests + degraded,
+                largest_batch_shots=max(stats.largest_batch_shots, result.n_shots),
             )
-
-    def _finish_meta(
-        self,
-        meta: dict,
-        entry: _Entry,
-        index: int,
-        queue_s: float,
-        batch_s: float,
-    ) -> dict:
-        """Per-entry result ``meta``: trace id, stage timings, admission.
-
-        The trace id prefers the transport-echoed ``trace_ids`` list (proof
-        the id crossed the wire and came back) over the locally remembered
-        one; both are the same value on a healthy path.  ``stage_ms`` gets
-        this entry's own queue wait on top of the batch-wide stages.
-        """
-        out = dict(meta)
-        echoed = out.pop("trace_ids", None)
-        trace = (
-            echoed[index]
-            if echoed and index < len(echoed)
-            else entry.trace_id
-        )
-        if trace is not None:
-            out["trace_id"] = trace
-        if self._telemetry.enabled:
-            stage_ms = dict(out.get("stage_ms") or {})
-            stage_ms["queue"] = queue_s * 1e3
-            stage_ms["batch"] = batch_s * 1e3
-            out["stage_ms"] = stage_ms
-        if entry.admission is not None:
-            out["admission"] = dict(entry.admission)
-        return out
 
     # --------------------------------------------------------------- dispatch
     def _dispatch(
@@ -1246,12 +1080,11 @@ class ReadoutService:
         job_id = self._next_job_id
         submitted: list[tuple[TcpShardTransport, list[int]]] = []
         # A failed submit (every replica of the shard down) does not abort
-        # the dispatch on the spot: the failure is carried to the same
-        # degrade-or-raise decision the collect failures reach, and the
-        # successfully submitted shards are *always* collected first -- an
+        # the dispatch on the spot: the successfully submitted shards are
+        # *always* collected before the first failure is raised -- an
         # uncollected response would desynchronize the per-shard FIFO
         # protocol for the next request.
-        failures: list[tuple[list[int], TcpShardTransport, Exception]] = []
+        failure: Exception | None = None
         # The trace ids ride the wire meta of every shard's REQUEST frame
         # (and every failover resend of it), so the placed server can echo
         # them back -- the propagation proof the trace tests pin.
@@ -1268,8 +1101,8 @@ class ReadoutService:
             )
             try:
                 shard.submit(job_id, sub_request, wire_meta)
-            except Exception as exc:  # noqa: BLE001 - degraded or re-raised
-                failures.append((columns, shard, exc))
+            except Exception as exc:  # noqa: BLE001 - raised after the collects
+                failure = failure or exc
                 continue
             submit_times[id(shard)] = time.perf_counter()
             submitted.append((shard, columns))
@@ -1290,8 +1123,8 @@ class ReadoutService:
         for shard, columns in submitted:
             try:
                 shard_result = shard.collect(job_id)
-            except Exception as exc:  # noqa: BLE001 - degraded or re-raised
-                failures.append((columns, shard, exc))
+            except Exception as exc:  # noqa: BLE001 - raised after the collects
+                failure = failure or exc
                 continue
             if self._telemetry.enabled:
                 # Wire cost of this shard: its submit-to-collect round trip
@@ -1311,6 +1144,8 @@ class ReadoutService:
             if want_logits:
                 logits[:, columns] = shard_result.logits
             backend_kind = shard_result.meta.get("backend", backend_kind)
+        if failure is not None:
+            raise failure
         meta = {
             "backend": backend_kind,
             "shards": len(plan),
@@ -1331,10 +1166,6 @@ class ReadoutService:
             meta["trace_ids"] = list(echoed_trace_ids)
         elif wire_meta is not None:
             meta["trace_ids"] = list(trace_ids)
-        if failures:
-            meta["degraded"] = self._degrade(
-                failures, plan, selected, states, logits
-            )
         return ReadoutResult(
             qubits=tuple(selected),
             output=request.output,
@@ -1344,43 +1175,6 @@ class ReadoutService:
             elapsed_s=time.perf_counter() - start,
             meta=meta,
         )
-
-    # ------------------------------------------------------------- resilience
-    def _degrade(
-        self,
-        failures: list,
-        plan: list,
-        selected: list[int],
-        states,
-        logits,
-    ) -> dict:
-        """Fill the failed shards' columns or re-raise, per ``degraded_ok``.
-
-        Degradation is reserved for *placement* failures (every replica of
-        a shard down) with at least one healthy shard and a service that is
-        not closing; anything else -- a deterministic serving error, a fully
-        dark deployment -- surfaces as the failure it is.
-        """
-        recoverable = all(isinstance(exc, TransportError) for _, _, exc in failures)
-        if (
-            not self._degraded_ok
-            or not recoverable
-            or len(failures) >= len(plan)
-            or self._closing.is_set()
-        ):
-            raise failures[0][2]
-        gap_qubits: list[int] = []
-        for columns, _shard, _exc in failures:
-            if states is not None:
-                states[:, columns] = -1
-            if logits is not None:
-                logits[:, columns] = np.nan
-            gap_qubits.extend(selected[column] for column in columns)
-        return {
-            "qubits": sorted(gap_qubits),
-            "shards": [shard.shard_index for _, shard, _ in failures],
-            "errors": [str(exc) for _, _, exc in failures],
-        }
 
     # ----------------------------------------------------------------- misc
     def _fail_pending(self, exc: Exception) -> None:

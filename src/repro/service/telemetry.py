@@ -1,9 +1,9 @@
-"""Traffic-tier telemetry: trace ids, latency histograms, admission control.
+"""Traffic-tier telemetry: trace ids and latency histograms.
 
 `ServiceStats` counts what happened; this module answers *where the time
-went* and *whether new work should be accepted at all* -- the two questions
-a readout stack serving mid-circuit feedback under a hard latency budget
-cannot leave unanswered.
+went* -- the question a readout stack serving mid-circuit feedback under a
+hard latency budget cannot leave unanswered.  It only observes: nothing
+here decides whether or how a request is served.
 
 * :func:`new_trace_id` mints the per-request trace id the service and the
   remote client stamp into wire ``meta`` at the edge.  The id travels with
@@ -17,10 +17,6 @@ cannot leave unanswered.
   (:data:`STAGES`: queue-wait, batch-assembly, shard-dispatch, wire
   round-trip, engine-compute) plus named event counters, and can fold a
   peer's snapshot into its own -- how metrics aggregate across transports.
-* :class:`AdmissionController` + :class:`AdmissionError` implement the
-  bounded-latency mode: an EWMA of per-request dispatch cost predicts the
-  queue wait a new request would see; past the SLO budget the service
-  sheds (raises) or degrades (states-only) instead of queueing it.
 
 The pretty-printer CLI fetches a remote server's live snapshot through the
 METRICS wire frame::
@@ -37,8 +33,6 @@ import uuid
 
 __all__ = [
     "STAGES",
-    "AdmissionController",
-    "AdmissionError",
     "LatencyHistogram",
     "TelemetryRecorder",
     "format_metrics",
@@ -64,28 +58,6 @@ def new_trace_id() -> str:
 # --------------------------------------------------------------------------
 # Latency histogram
 # --------------------------------------------------------------------------
-
-
-class AdmissionError(RuntimeError):
-    """A request was shed: its predicted queue wait exceeded the SLO budget.
-
-    Raised synchronously by :meth:`ReadoutService.submit` so the caller can
-    retry elsewhere (or later) instead of queueing work that would miss its
-    deadline anyway.  Carries the prediction that triggered the shed.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        trace_id: str | None = None,
-        predicted_wait_ms: float = 0.0,
-        budget_ms: float = 0.0,
-    ) -> None:
-        super().__init__(message)
-        self.trace_id = trace_id
-        self.predicted_wait_ms = float(predicted_wait_ms)
-        self.budget_ms = float(budget_ms)
 
 
 class LatencyHistogram:
@@ -334,68 +306,6 @@ class TelemetryRecorder:
 
 
 # --------------------------------------------------------------------------
-# Admission control
-# --------------------------------------------------------------------------
-
-
-class AdmissionController:
-    """Predict queue wait from an EWMA of per-request dispatch cost.
-
-    Every dispatched micro-batch reports ``(n_requests, elapsed_s)``
-    through :meth:`observe`; the controller keeps an exponentially weighted
-    moving average of the per-request cost and predicts the wait a new
-    request would see as ``queue_depth * cost``.  Cold start (no dispatch
-    observed yet) predicts zero -- the service must not shed before it has
-    evidence.
-
-    ``initial_cost_s`` seeds the estimate, which deterministic tests and
-    the overload benchmark use to make shed decisions reproducible.
-    """
-
-    def __init__(
-        self,
-        *,
-        alpha: float = 0.2,
-        initial_cost_s: float | None = None,
-    ) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-        self._cost_s = None if initial_cost_s is None else float(initial_cost_s)
-        self._observations = 0
-        self._lock = threading.Lock()
-
-    @property
-    def cost_s(self) -> float | None:
-        """The current per-request cost estimate (None before any evidence)."""
-        with self._lock:
-            return self._cost_s
-
-    @property
-    def observations(self) -> int:
-        with self._lock:
-            return self._observations
-
-    def observe(self, n_requests: int, elapsed_s: float) -> None:
-        """Fold one dispatched batch's cost into the estimate."""
-        sample = max(0.0, float(elapsed_s)) / max(1, int(n_requests))
-        with self._lock:
-            self._observations += 1
-            if self._cost_s is None:
-                self._cost_s = sample
-            else:
-                self._cost_s += self.alpha * (sample - self._cost_s)
-
-    def predicted_wait_s(self, queue_depth: int) -> float:
-        """The wait a request behind ``queue_depth`` others would see."""
-        with self._lock:
-            cost = self._cost_s
-        if cost is None:
-            return 0.0
-        return max(0, int(queue_depth)) * cost
-
-
-# --------------------------------------------------------------------------
 # Pretty printing and the CLI
 # --------------------------------------------------------------------------
 
@@ -423,13 +333,6 @@ def format_metrics(snapshot: dict, title: str = "metrics") -> str:
     counters = snapshot.get("counters") or {}
     for name in sorted(counters):
         lines.append(f"counter {name}: {counters[name]}")
-    slo = snapshot.get("slo")
-    if slo:
-        lines.append(
-            f"slo: budget_ms={slo.get('budget_ms')} "
-            f"shed={slo.get('shed_requests', 0)} "
-            f"degraded={slo.get('degraded_admissions', 0)}"
-        )
     lifecycle = snapshot.get("lifecycle")
     if lifecycle:
         lines.append(

@@ -16,6 +16,9 @@ class Stats:
     def record(self, event):
         self._events.append(event)
 
+    def reset(self):
+        self._count, self._events = 0, []
+
     def snapshot(self):
         with self._lock:
             time.sleep(0.01)

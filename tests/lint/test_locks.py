@@ -19,17 +19,22 @@ def test_unguarded_writes_and_blocking_call_are_flagged(fixture_project):
     project = fixture_project("locks_bad.py")
     findings = LockChecker(guarded_by=GUARDS).run(project)
     by_rule = sorted(f.rule for f in findings)
-    assert by_rule == [RULE_BLOCKING, RULE_UNGUARDED, RULE_UNGUARDED]
+    assert by_rule == [RULE_BLOCKING] + [RULE_UNGUARDED] * 4
     blob = " ".join(f.message for f in findings)
     assert "Stats._count is GUARDED_BY _lock" in blob
     assert "mutated via .append()" in blob
     assert "time.sleep" in blob
+    # One finding per guarded field written through a tuple target.
+    unpacked = sorted(
+        f.message.split(" ", 1)[0] for f in findings if "in reset()" in f.message
+    )
+    assert unpacked == ["Stats._count", "Stats._events"]
 
 
 def test_init_writes_are_exempt(fixture_project):
     project = fixture_project("locks_bad.py")
     findings = LockChecker(guarded_by=GUARDS).run(project)
-    # __init__ seeds both guarded fields without the lock; only the three
+    # __init__ seeds both guarded fields without the lock; only the
     # post-construction violations may appear.
     assert all(f.line > 11 for f in findings)
 

@@ -336,8 +336,8 @@ class TestRemoteClientReconnect:
                     client.serve(ReadoutRequest(raw=service_carriers[:2]))
 
 
-class TestDegradedMode:
-    def _two_shard_service(self, service_bundle, handles, **kwargs):
+class TestShardFailure:
+    def _two_shard_service(self, service_bundle, handles):
         hosts = [handle.address for handle in handles]
         return ReadoutService(
             bundle_dir=service_bundle,
@@ -348,40 +348,9 @@ class TestDegradedMode:
             remote_timeout=60.0,
             connect_timeout=2.0,
             failover_seed=5,
-            **kwargs,
         )
 
-    def test_degraded_ok_fills_the_gap_and_records_it(
-        self, service_bundle, service_engine, service_carriers
-    ):
-        direct = service_engine.serve(
-            ReadoutRequest(raw=service_carriers, output="both")
-        )
-        handles = [spawn_server(service_bundle) for _ in range(2)]
-        try:
-            with self._two_shard_service(
-                service_bundle, handles, degraded_ok=True
-            ) as service:
-                assert service.shard_groups == [[0, 1], [2]]
-                handles[1].process.kill()
-                handles[1].process.join(10.0)
-                result = service.serve(
-                    ReadoutRequest(raw=service_carriers, output="both")
-                )
-                stats = service.stats
-        finally:
-            for handle in handles:
-                handle.close()
-        # Healthy shard: bit-identical.  Dead shard: sentinel fill + record.
-        np.testing.assert_array_equal(result.states[:, :2], direct.states[:, :2])
-        np.testing.assert_array_equal(result.logits[:, :2], direct.logits[:, :2])
-        assert (result.states[:, 2] == -1).all()
-        assert np.isnan(result.logits[:, 2]).all()
-        assert result.meta["degraded"]["qubits"] == [2]
-        assert result.meta["degraded"]["shards"] == [1]
-        assert stats.degraded_requests == 1
-
-    def test_without_degraded_ok_the_failure_surfaces_bounded(
+    def test_a_dead_shard_fails_the_request_bounded(
         self, service_bundle, service_carriers
     ):
         handles = [spawn_server(service_bundle) for _ in range(2)]
@@ -396,29 +365,32 @@ class TestDegradedMode:
             for handle in handles:
                 handle.close()
 
-    def test_shard_recovers_after_degraded_answers(
+    def test_failed_shard_never_desyncs_a_healthy_one(
         self, service_bundle, service_engine, service_carriers
     ):
-        """A degraded shard must not poison the FIFO: when its replica set
-        is still dead the next request degrades again cleanly."""
-        direct = service_engine.serve(ReadoutRequest(raw=service_carriers))
+        """A failed dispatch still collects every shard it reached, so the
+        healthy shard's FIFO stays in step: once the dead shard's server is
+        back, the next answer is bit-identical on every column."""
+        request = ReadoutRequest(raw=service_carriers, output="both")
+        direct = service_engine.serve(request)
         handles = [spawn_server(service_bundle) for _ in range(2)]
         try:
-            with self._two_shard_service(
-                service_bundle, handles, degraded_ok=True
-            ) as service:
+            with self._two_shard_service(service_bundle, handles) as service:
+                assert service.shard_groups == [[0, 1], [2]]
                 handles[1].process.kill()
                 handles[1].process.join(10.0)
                 for _ in range(2):
-                    result = service.serve(ReadoutRequest(raw=service_carriers))
-                    np.testing.assert_array_equal(
-                        result.states[:, :2], direct.states[:, :2]
-                    )
-                    assert result.meta["degraded"]["qubits"] == [2]
-                assert service.stats.degraded_requests == 2
+                    with pytest.raises(AllReplicasDownError):
+                        service.serve(request)
+                handles.append(
+                    spawn_server(service_bundle, port=handles[1].address[1])
+                )
+                result = service.serve(request)
         finally:
             for handle in handles:
                 handle.close()
+        np.testing.assert_array_equal(result.states, direct.states)
+        np.testing.assert_array_equal(result.logits, direct.logits)
 
 
 class TestChaosHeadline:
@@ -470,10 +442,9 @@ class TestChaosHeadline:
                 ]
                 results = [future.result(timeout=120) for future in futures]
                 stats = service.stats
-            # Zero lost requests, zero degraded answers, all bit-identical.
+            # Zero lost requests, all bit-identical.
             assert len(results) == 8
             for result in results:
-                assert "degraded" not in result.meta
                 np.testing.assert_array_equal(result.states, direct.states)
                 np.testing.assert_array_equal(result.logits, direct.logits)
             assert stats.requests_served == 8

@@ -372,6 +372,25 @@ class TestHotSwap:
         np.testing.assert_array_equal(post.logits, engine_v2.serve(request).logits)
         assert stats.bundle_swaps == 1
 
+    def test_inprocess_candidate_loads_on_the_caller_thread(
+        self, service_engine, bundle_v2, engine_v2, service_carriers, monkeypatch
+    ):
+        """The batcher only flips: queued requests never wait for a load."""
+        load = ReadoutEngine.load
+        loading_threads: list[str] = []
+
+        def recording_load(directory, *args, **kwargs):
+            loading_threads.append(threading.current_thread().name)
+            return load(directory, *args, **kwargs)
+
+        monkeypatch.setattr(ReadoutEngine, "load", staticmethod(recording_load))
+        request = ReadoutRequest(raw=service_carriers, output="logits")
+        with ReadoutService(engine=service_engine) as service:
+            service.swap_bundle(bundle_dir=bundle_v2)
+            result = service.serve(request)
+        assert loading_threads == [threading.current_thread().name]
+        np.testing.assert_array_equal(result.logits, engine_v2.serve(request).logits)
+
     def test_swap_without_registry_needs_bundle_dir(self, service_engine):
         with ReadoutService(engine=service_engine) as service:
             with pytest.raises(ValueError, match="registry"):
@@ -441,6 +460,26 @@ class TestHotSwap:
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.swap_bundle()
+
+    def test_close_racing_the_load_closes_the_candidate(
+        self, service_engine, bundle_v2, monkeypatch
+    ):
+        """A barrier failed by close() never flips, so its preloaded
+        candidate engine is closed rather than leaked."""
+        load = ReadoutEngine.load
+        service = ReadoutService(engine=service_engine).start()
+        candidates: list[ReadoutEngine] = []
+
+        def load_then_close(directory, *args, **kwargs):
+            candidates.append(load(directory, *args, **kwargs))
+            service.close()
+            return candidates[-1]
+
+        monkeypatch.setattr(ReadoutEngine, "load", staticmethod(load_then_close))
+        with pytest.raises(RuntimeError, match="closed"):
+            service.swap_bundle(bundle_dir=bundle_v2)
+        (candidate,) = candidates
+        assert candidate._closed
 
     def test_swap_queued_behind_in_flight_microbatch(
         self, loaded_registry, service_engine, engine_v2, service_carriers

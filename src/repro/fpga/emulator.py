@@ -75,9 +75,12 @@ class FpgaStudentEmulator:
         self.fmt = fmt
         # Raw traces are *stored* in the narrowest dtype that holds the word
         # length (int32 for Q16.16), halving the memory traffic of the two
-        # bandwidth-bound passes (adder tree + MF MAC); each datapath module
-        # widens its chunk to int64 before any arithmetic, so results are
-        # bit-identical to an all-int64 carrier.
+        # bandwidth-bound passes (adder tree + MF MAC).  Both read the carrier
+        # in place and form products and sums in int64 inside the kernel
+        # (einsum / reduceat / slot adds with an int64 dtype), so results are
+        # bit-identical to an all-int64 carrier.  The MF and the slot adds
+        # never copy a trace to int64; reduceat does inside NumPy, and
+        # one-sample windows take their widened samples as their sums.
         self.carrier_dtype = fmt.raw_carrier_dtype
         # An int32 carrier of a 32-bit word cannot hold an out-of-range value,
         # so saturation of already-int32 inputs is a no-op we can skip.

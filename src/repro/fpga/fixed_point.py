@@ -51,6 +51,23 @@ Similarly :meth:`multiply_accumulate` accepts a precomputed ``static_bound``
 on the worst-case accumulator magnitude (see :meth:`mac_static_bound`), so
 callers whose weights are fixed at construction time skip the per-call
 ``max(|inputs|) * max(|weights|)`` probe entirely.
+
+Where the datapath widens
+-------------------------
+
+Raw samples of a word of at most 32 bits travel in an int32 *carrier*
+(:attr:`FixedPointFormat.raw_carrier_dtype`).  The two passes that read the
+whole trace -- the MAC here and the average layer's adder tree in
+:mod:`repro.fpga.modules` -- read that carrier in place and widen inside the
+kernel: products and sums are formed in int64 (``np.einsum(...,
+dtype=np.int64)``, slot adds and ``np.add.reduceat`` with
+``dtype=np.int64``), so the bounds proven for int64 operands still hold.
+``einsum`` and the slot adds cast through small buffers; ``reduceat``
+casts by copying its operand, so the few-window adder tree still makes an
+int64 copy of the trace, inside NumPy.  The module code itself widens a
+whole trace only for one-sample windows, whose sums are their samples.
+Everything downstream of those passes (per-interval sums, MF scores,
+features, dense layers) is small and is carried in int64.
 """
 
 from __future__ import annotations
@@ -64,6 +81,31 @@ __all__ = ["FixedPointFormat", "Q16_16", "FixedPointOverflowError"]
 #: int64 products are considered safe while their magnitude stays below 2**62
 #: (one bit of margin under the int64 limit), matching the MAC fast path.
 _INT64_SAFE_BITS = 62
+
+
+def _integer_carrier(values: np.ndarray) -> np.ndarray:
+    """``values`` as an int32 or int64 array; int32 and int64 arrays are read in place.
+
+    Anything else (Python lists, other integer widths, floats) goes through
+    ``np.asarray(values, dtype=np.int64)``, which raises ``OverflowError``
+    on a Python int outside int64 rather than wrapping it.  Kernels that
+    read the result form their products and sums in int64 themselves (see
+    "Where the datapath widens" above).
+    """
+    if isinstance(values, np.ndarray) and values.dtype in (np.int32, np.int64):
+        return np.asarray(values)
+    return np.asarray(values, dtype=np.int64)
+
+
+def _max_magnitude(values: np.ndarray) -> int:
+    """Largest ``|value|`` as a Python int (0 for an empty array).
+
+    Read from ``min()`` and ``max()`` because ``np.abs`` maps the most
+    negative value of a signed dtype (INT64_MIN, INT32_MIN) to itself.
+    """
+    if values.size == 0:
+        return 0
+    return max(-int(values.min()), int(values.max()))
 
 
 class FixedPointOverflowError(ArithmeticError):
@@ -162,9 +204,11 @@ class FixedPointFormat:
         """Narrowest NumPy integer dtype that holds any in-range raw value.
 
         Raw Q16.16 samples fit int32 exactly (the word length is 32), so bulk
-        trace *storage* can use int32 and halve the memory traffic of the
-        bandwidth-bound datapath passes; the arithmetic itself always widens
-        to int64 first.  Formats wider than 32 bits fall back to int64.
+        trace storage uses int32 and halves the memory traffic of the
+        bandwidth-bound datapath passes.  Those passes read the int32 carrier
+        in place and form their products and sums in int64 (see "Where the
+        datapath widens" in the module docstring).  Formats wider than 32
+        bits fall back to int64.
         """
         return np.dtype(np.int32) if self.word_length <= 32 else np.dtype(np.int64)
 
@@ -307,7 +351,8 @@ class FixedPointFormat:
         weights = np.asarray(weights, dtype=np.int64)
         if weights.size == 0:
             return 0
-        abs_sum = int(np.abs(weights).astype(object).sum())
+        # abs on Python ints: np.abs maps INT64_MIN to itself.
+        abs_sum = int(np.abs(weights.astype(object)).sum())
         return abs_sum * (1 << (self.word_length - 1))
 
     def multiply_accumulate(
@@ -324,14 +369,19 @@ class FixedPointFormat:
         Products are accumulated at full precision before the final shift,
         which matches a DSP-based MAC with a wide accumulator, then saturated.
 
+        int32 and int64 operands are read in place: the int64 fast path is
+        ``np.einsum(..., dtype=np.int64)``, which widens an int32 carrier
+        into its own small buffer as it goes, so a strided int32 window (the
+        matched filter's) is never copied to int64 first.
+
         ``static_bound`` is a caller-provided upper bound on the worst-case
         accumulator magnitude (see :meth:`mac_static_bound`); when given, the
         per-call ``max(|inputs|) * max(|weights|)`` probe is skipped, which is
         what makes batched inference allocation- and scan-free.  The caller
         promises its inputs respect the bound.
         """
-        inputs = np.asarray(inputs, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.int64)
+        inputs = _integer_carrier(inputs)
+        weights = _integer_carrier(weights)
         single = inputs.ndim == 1
         if single:
             inputs = inputs[None, :]
@@ -344,11 +394,11 @@ class FixedPointFormat:
         # cannot reach 2**62; otherwise fall back to exact Python integers.
         if static_bound is None:
             n = weights.shape[0]
-            max_abs_input = int(np.max(np.abs(inputs))) if inputs.size else 0
-            max_abs_weight = int(np.max(np.abs(weights))) if weights.size else 0
+            max_abs_input = _max_magnitude(inputs)
+            max_abs_weight = _max_magnitude(weights)
             static_bound = max_abs_input * max_abs_weight * max(n, 1)
         if static_bound < (1 << _INT64_SAFE_BITS):
-            accumulator = inputs @ weights
+            accumulator = np.einsum("ij,j->i", inputs, weights, dtype=np.int64)
             # Floor division matches the arithmetic right shift of the shift
             # stage for negative accumulators.
             accumulator >>= self.fractional_bits

@@ -4,8 +4,12 @@ The datapath does all arithmetic in int64 and proves, per site, that the
 worst-case intermediate magnitude stays below ``2**63`` for the declared
 Q16.16 operand ranges.  This checker makes those proofs *load-bearing*: it
 enumerates every arithmetic site (``@``, ``*``, ``+``, ``-``, ``<<``,
-``+=``-family, and the ``fmt.multiply*``/``reduceat`` calls) in the scoped
-datapath functions and requires each to match an entry of :data:`PROOFS` --
+``+=``-family, the ``fmt.multiply*``/``reduceat`` calls, and NumPy's call
+spellings of the same work: ``einsum``, ``dot``, ``matmul``, ``tensordot``,
+``inner``, ``add``, ``subtract``, ``left_shift`` and the reductions ``sum``,
+``cumsum``, ``prod``, ``cumprod``, ``reduce``, ``accumulate``, as functions
+or as methods of any expression) in the scoped datapath functions and
+requires each to match an entry of :data:`PROOFS` --
 a reviewed ledger carrying the worst-case magnitude bound, the proof sketch,
 and the source fragments (runtime gates, constructor guards) the proof
 depends on.
@@ -67,6 +71,7 @@ OVERFLOW_SCOPE: dict[str, frozenset[str]] = {
     "src/repro/fpga/modules.py": frozenset(
         {
             "AverageModule.forward",
+            "AverageModule._slot_sums",
             "NormalizeModule.forward",
             "MatchedFilterModule.forward",
             "DenseLayerModule.forward",
@@ -100,13 +105,30 @@ OVERFLOW_SCOPE: dict[str, frozenset[str]] = {
 #: only shrink it and are exempt).
 _TRACKED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.MatMult, ast.LShift)
 
-#: Call names (last dotted component) that perform multiply/accumulate work.
+#: Call names (last dotted component) that perform multiply/accumulate work:
+#: the format's own arithmetic, and NumPy's call spellings of the tracked
+#: operators (``np.add`` is ``+``, ``np.einsum`` a MAC like ``@``,
+#: ``.sum()`` and ``np.add.reduce`` a chain of ``+``, ...).
 _ARITH_CALLS = {
     "multiply",
     "multiply_exact_reference",
     "multiply_accumulate",
     "multiply_accumulate_exact_reference",
     "reduceat",
+    "einsum",
+    "dot",
+    "matmul",
+    "tensordot",
+    "inner",
+    "add",
+    "subtract",
+    "left_shift",
+    "sum",
+    "cumsum",
+    "prod",
+    "cumprod",
+    "reduce",
+    "accumulate",
 }
 
 
@@ -146,28 +168,48 @@ PROOFS: dict[tuple[str, str, str], SiteProof] = {
         worst_bits=0,
         note="window-count arithmetic on Python scalars",
     ),
-    (_MOD, "AverageModule.forward", "n_shots * n_intervals"): SiteProof(
-        kind="python-int",
-        worst_bits=0,
-        note="reshape-size arithmetic on Python scalars",
-    ),
-    (_MOD, "AverageModule.forward", "windows @ self._sum_matrix"): SiteProof(
-        kind="bounded",
-        worst_bits=62,
-        note=(
-            "adder tree: |sum| <= S * 2**31 with S <= 2**30 enforced at "
-            "construction, so partial sums stay <= 2**61"
-        ),
-        requires=("samples_per_interval > (1 << (_INT64_SAFE_BITS - fmt.word_length))",),
-    ),
     (
         _MOD,
         "AverageModule.forward",
-        "np.add.reduceat(trace_raw[:, :usable, :], boundaries, axis=1)",
+        "np.add.reduceat(trace_raw[:, :usable, :], boundaries, axis=1, dtype=np.int64)",
     ): SiteProof(
         kind="bounded",
         worst_bits=62,
-        note="same adder tree as the matmul variant: |sum| <= 2**30 * 2**31 = 2**61",
+        note=(
+            "adder tree: |sum| <= S * 2**(w-1) <= 2**61 with S <= 2**(62-w) "
+            "enforced at construction; dtype=np.int64 makes reduceat "
+            "accumulate in int64 when it reads an int32 carrier"
+        ),
+        requires=("samples_per_interval > (1 << (_INT64_SAFE_BITS - fmt.word_length))",),
+    ),
+    # AverageModule._slot_sums: the many-window adder tree as slot adds.
+    (_MOD, "AverageModule._slot_sums", "start + _SLOT_ADD_BLOCK"): SiteProof(
+        kind="python-int",
+        worst_bits=0,
+        note="block index arithmetic on Python scalars",
+    ),
+    (
+        _MOD,
+        "AverageModule._slot_sums",
+        "np.add(block[:, :, 0, channel], block[:, :, 1, channel], out=acc, dtype=np.int64)",
+    ): SiteProof(
+        kind="bounded",
+        worst_bits=62,
+        note=(
+            "first two slots of a window: |a + b| <= 2 * 2**(w-1); two slots "
+            "need S >= 2, which the constructor guard S <= 2**(62-w) allows "
+            "only for w <= 61, so the sum is <= 2**61, formed in int64 by "
+            "dtype=np.int64 from the int32 carrier"
+        ),
+        requires=("samples_per_interval > (1 << (_INT64_SAFE_BITS - fmt.word_length))",),
+    ),
+    (_MOD, "AverageModule._slot_sums", "acc += block[:, :, slot, channel]"): SiteProof(
+        kind="bounded",
+        worst_bits=62,
+        note=(
+            "running window sum into the int64 accumulator: after k of S "
+            "slots |acc| <= S * 2**(w-1) <= 2**61 by the constructor guard"
+        ),
         requires=("samples_per_interval > (1 << (_INT64_SAFE_BITS - fmt.word_length))",),
     ),
     (
@@ -231,7 +273,8 @@ PROOFS: dict[tuple[str, str, str], SiteProof] = {
             "multiply_accumulate takes the int64 path only when the static "
             "accumulator bound (sum|envelope| * 2**31, computed at "
             "construction) is below 2**62; larger envelopes reroute to the "
-            "exact big-integer MAC"
+            "exact big-integer MAC.  The int32 window holds saturated "
+            "samples, so the bound's |input| <= 2**31 holds"
         ),
         requires=(f"{_FXP}::static_bound < (1 << _INT64_SAFE_BITS)",),
     ),
@@ -393,6 +436,18 @@ PROOFS: dict[tuple[str, str, str], SiteProof] = {
     ),
     (
         _FXP,
+        "FixedPointFormat.mac_static_bound",
+        "np.abs(weights.astype(object)).sum()",
+    ): SiteProof(
+        kind="exact-object",
+        worst_bits=0,
+        note=(
+            "sum of |weights| over an object array of Python ints (abs taken "
+            "after the cast, so INT64_MIN reads as 2**63, not as itself)"
+        ),
+    ),
+    (
+        _FXP,
         "FixedPointFormat.multiply_accumulate",
         "max_abs_input * max_abs_weight * max(n, 1)",
     ): SiteProof(
@@ -409,15 +464,26 @@ PROOFS: dict[tuple[str, str, str], SiteProof] = {
         worst_bits=0,
         note="the 2**62 gate threshold itself (a Python scalar)",
     ),
-    (_FXP, "FixedPointFormat.multiply_accumulate", "inputs @ weights"): SiteProof(
+    (
+        _FXP,
+        "FixedPointFormat.multiply_accumulate",
+        "np.einsum('ij,j->i', inputs, weights, dtype=np.int64)",
+    ): SiteProof(
         kind="gated",
         worst_bits=62,
         note=(
             "every partial sum is bounded by static_bound (callers pass "
-            "mac_static_bound or it is probed above); the int64 matmul runs "
-            "only when static_bound < 2**62"
+            "mac_static_bound or it is probed above; both take magnitudes "
+            "as Python ints, so INT64_MIN/INT32_MIN cannot read as a "
+            "negative magnitude); the int64 einsum runs only when "
+            "static_bound < 2**62, and dtype=np.int64 forms every product "
+            "and sum in int64 whatever the operand dtypes"
         ),
-        requires=("static_bound < (1 << _INT64_SAFE_BITS)",),
+        requires=(
+            "static_bound < (1 << _INT64_SAFE_BITS)",
+            "max(-int(values.min()), int(values.max()))",
+            "np.abs(weights.astype(object))",
+        ),
     ),
     (
         _FXP,
@@ -443,11 +509,11 @@ PROOFS: dict[tuple[str, str, str], SiteProof] = {
     (
         _FXP,
         "FixedPointFormat.multiply_accumulate_exact_reference",
-        "inputs.astype(object) * weights.astype(object)",
+        "(inputs.astype(object) * weights.astype(object)).sum(axis=1)",
     ): SiteProof(
         kind="exact-object",
         worst_bits=0,
-        note="the big-integer MAC oracle: products live in object arrays",
+        note="the big-integer MAC oracle: products and their sums live in object arrays",
     ),
     (
         _FXP,
@@ -502,7 +568,10 @@ class _SiteCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        name = call_name(node)
+        # The callee's last name, whatever it is called on: a method of any
+        # expression (``(a * b).sum()``, ``x[:, :n].dot(w)``) counts too.
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else call_name(node)
         if name is not None and name.rsplit(".", 1)[-1] in _ARITH_CALLS:
             self._record(node)
             return

@@ -106,6 +106,24 @@ class TestGoldenBitExactness:
         logits = emulator.predict_logits_raw(build_traces())
         np.testing.assert_array_equal(logits, np.array(golden[case], dtype=np.int64))
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tiled_snapshot_at_1025_shots(self, golden, case):
+        """1025 shots: one shot past the 1024-shot chunk (the snapshot's 10
+        windows take the ``reduceat`` tree; the slot adds are pinned in
+        ``test_kernels.py``).  Shots are independent, so the tiled traces
+        give the tiled snapshot, from float traces and from int32 carriers
+        in the strided ``payload[:, q]`` view the engine hands a backend."""
+        fmt = CASES[case]
+        emulator = FpgaStudentEmulator(build_parameters(fmt))
+        traces = build_traces()
+        reps = -(-1025 // len(traces))
+        tiled = np.tile(traces, (reps, 1, 1))[:1025]
+        expected = np.tile(np.array(golden[case], dtype=np.int64), reps)[:1025]
+        np.testing.assert_array_equal(emulator.predict_logits_raw(tiled), expected)
+        raw = fmt.to_raw(tiled).astype(fmt.raw_carrier_dtype)
+        payload = np.stack([np.zeros_like(raw), raw], axis=1)
+        np.testing.assert_array_equal(emulator.predict_logits_from_raw(payload[:, 1]), expected)
+
     def test_snapshot_covers_saturation(self, golden):
         """The fixed trace set genuinely drives the datapath into saturation."""
         logits = np.array(golden["q16_16"], dtype=np.int64)
@@ -178,9 +196,9 @@ class TestGoldenBitExactness:
 
 
 class TestInt32TraceCarrier:
-    """Raw Q16.16 samples fit int32; storing traces as int32 and widening to
-    int64 per chunk inside the adder-tree and MF-MAC passes must be
-    bit-identical to the all-int64 path (ROADMAP item)."""
+    """Raw Q16.16 samples fit int32; storing traces as int32, read in place
+    by the adder-tree and MF-MAC kernels, must be bit-identical to the
+    all-int64 path."""
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_int32_and_int64_raw_inputs_bit_identical(self, case):

@@ -287,6 +287,45 @@ class TestMacEquivalence:
             Q16_16.multiply_accumulate_exact_reference(inputs, weights),
         )
 
+    def test_probe_reads_int64_min_as_a_positive_magnitude(self):
+        """``np.abs(INT64_MIN)`` is INT64_MIN; a probe built on it bounds the
+        accumulator negatively, takes the int64 path and wraps to 0."""
+        inputs = [[-(2**63)]]
+        expected = Q16_16.multiply_accumulate_exact_reference(inputs, [2])
+        np.testing.assert_array_equal(expected, [Q16_16.min_raw])
+        np.testing.assert_array_equal(Q16_16.multiply_accumulate(inputs, [2]), expected)
+
+    def test_probe_reads_int32_min_of_narrow_operands(self):
+        """int32 operands are read in place, so INT32_MIN reaches the probe
+        unwidened: 2 * (-2**31)**2 = 2**63 must take the exact path."""
+        inputs = np.full((1, 2), np.iinfo(np.int32).min, dtype=np.int32)
+        weights = np.full(2, np.iinfo(np.int32).min, dtype=np.int32)
+        expected = Q16_16.multiply_accumulate_exact_reference(inputs, weights)
+        np.testing.assert_array_equal(expected, [Q16_16.max_raw])
+        np.testing.assert_array_equal(Q16_16.multiply_accumulate(inputs, weights), expected)
+
+    def test_static_bound_reads_int64_min_as_a_positive_magnitude(self):
+        """The same defect in the static bound: a negative bound for an
+        INT64_MIN weight would take the int64 path and wrap to 0."""
+        weights = [-(2**63)]
+        bound = Q16_16.mac_static_bound(weights)
+        assert bound == 2**63 * 2**31
+        expected = Q16_16.multiply_accumulate_exact_reference([[2]], weights)
+        np.testing.assert_array_equal(expected, [Q16_16.min_raw])
+        np.testing.assert_array_equal(
+            Q16_16.multiply_accumulate([[2]], weights, static_bound=bound), expected
+        )
+
+    @pytest.mark.parametrize("inputs", [[[2**63]], [[-1, 2**63]]])
+    def test_operands_outside_int64_raise_like_the_reference(self, inputs):
+        """Python ints past int64 are refused, not wrapped, by the fast path
+        and its oracle alike."""
+        weights = [2] * len(inputs[0])
+        with pytest.raises(OverflowError):
+            Q16_16.multiply_accumulate_exact_reference(inputs, weights)
+        with pytest.raises(OverflowError):
+            Q16_16.multiply_accumulate(inputs, weights)
+
     def test_mac_static_bound_dominates_probe(self):
         """The static bound is a true upper bound for any in-range inputs."""
         rng = np.random.default_rng(14)

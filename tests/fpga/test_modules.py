@@ -243,7 +243,7 @@ class TestVectorizedAverageEquivalence:
         np.testing.assert_array_equal(out, expected)
 
     def test_many_interval_matmul_branch_matches_reference(self):
-        """spi=5 over 500 samples takes the summing-matrix branch (>64 intervals)."""
+        """spi=5 over 500 samples takes the slot-add branch (>64 intervals)."""
         rng = np.random.default_rng(26)
         traces = rng.integers(Q16_16.min_raw, Q16_16.max_raw + 1, size=(4, 500, 2))
         recip = int(Q16_16.to_raw(1.0 / 5))

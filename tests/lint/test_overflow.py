@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.lint.overflow import (
     OVERFLOW_SCOPE,
     PROOFS,
@@ -32,6 +34,47 @@ def test_unproven_site_is_flagged(fixture_project):
     assert [f.rule for f in findings] == [RULE_UNPROVEN]
     assert "'a * b'" in findings[0].message
     assert checker.site_report == []
+
+
+def test_unproven_einsum_mac_is_flagged(fixture_project):
+    """A MAC spelled ``np.einsum`` is an arithmetic site like ``@``."""
+    project = fixture_project("overflow_calls.py")
+    checker = OverflowChecker(
+        scope={"overflow_calls.py": frozenset({"Calls.einsum"})}, proofs={}
+    )
+    findings = checker.run(project)
+    assert [f.rule for f in findings] == [RULE_UNPROVEN]
+    assert "np.einsum('ij,j->i', window, envelope, dtype=np.int64)" in findings[0].message
+
+
+@pytest.mark.parametrize(
+    ("method", "site"),
+    [
+        ("dot", "np.dot(a, b)"),
+        ("matmul", "np.matmul(a, b)"),
+        ("tensordot", "np.tensordot(a, b, axes=1)"),
+        ("inner", "np.inner(a, b)"),
+        ("add", "np.add(slot0, slot1, out=acc, dtype=np.int64)"),
+        ("subtract", "np.subtract(a, b)"),
+        ("left_shift", "np.left_shift(a, bits)"),
+        ("sum", "trace[:, :4].sum(axis=1)"),
+        ("cumsum", "np.cumsum(a, axis=1)"),
+        ("prod", "np.prod(a, axis=1)"),
+        ("cumprod", "(a * b).cumprod(axis=1)"),
+        ("reduce", "np.add.reduce(trace, axis=2, dtype=np.int64)"),
+        ("accumulate", "np.add.accumulate(trace, axis=2)"),
+        ("method_dot", "window[:, :8].dot(envelope)"),
+    ],
+)
+def test_every_numpy_call_spelling_is_a_site(fixture_project, method, site):
+    """Function and method spellings alike, on a name or any expression."""
+    project = fixture_project("overflow_calls.py")
+    checker = OverflowChecker(
+        scope={"overflow_calls.py": frozenset({f"Calls.{method}"})}, proofs={}
+    )
+    findings = checker.run(project)
+    assert [f.rule for f in findings] == [RULE_UNPROVEN]
+    assert f"'{site}'" in findings[0].message
 
 
 def test_proved_site_is_clean_and_reported(fixture_project):
